@@ -682,12 +682,9 @@ fn bench_serve_batch(c: &mut Bench) {
 }
 
 fn bench_format_load(c: &mut Bench) {
-    // Model-load latency across on-disk formats at deployment scale
-    // (D=10,000, K=26): the container's aligned raw planes should load in
-    // one bulk read; the packed variant trades decode time for bytes; the
-    // legacy path is the baseline the container replaces.
-    use lehdc::format::Compression;
-    use lehdc::io::{read_model, write_model_legacy, write_model_with};
+    // Model-load latency at deployment scale (D=10,000, K=26): the
+    // container's aligned raw planes load in one bulk read.
+    use lehdc::io::{read_model, write_model};
 
     let d = 10_000usize;
     let k = 26usize;
@@ -697,25 +694,18 @@ fn bench_format_load(c: &mut Bench) {
         (0..k).map(|_| hdc::BinaryHv::random(dim, &mut rng)).collect(),
     )
     .unwrap();
-
-    let mut stored = Vec::new();
-    write_model_with(&model, &mut stored, Compression::Stored).unwrap();
-    let mut packed = Vec::new();
-    write_model_with(&model, &mut packed, Compression::Packed).unwrap();
-    let mut legacy = Vec::new();
-    write_model_legacy(&model, &mut legacy).unwrap();
+    let mut bytes = Vec::new();
+    write_model(&model, &mut bytes).unwrap();
 
     let mut group = c.benchmark_group("format_load");
-    for (name, bytes) in [
-        ("container_stored", &stored),
-        ("container_packed", &packed),
-        ("legacy", &legacy),
-    ] {
-        group.throughput(Throughput::Bytes(bytes.len() as u64));
-        group.bench_with_input(BenchmarkId::new(name, d), bytes, |bencher, bytes| {
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("container", d),
+        &bytes,
+        |bencher, bytes| {
             bencher.iter(|| black_box(read_model(black_box(bytes.as_slice())).unwrap()));
-        });
-    }
+        },
+    );
     group.finish();
 }
 

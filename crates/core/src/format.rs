@@ -1,4 +1,4 @@
-//! The `LHDC` container: one versioned on-disk format for every artifact.
+//! The `LHDC` container: the one on-disk format for every artifact.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -24,8 +24,10 @@
 //! the serve SWAP path. Packed binary hypervectors are incompressible by
 //! construction (each bit is a fair coin), so the planes are always stored
 //! raw; compression applies only to the metadata and aux sections, which
-//! hold JSON text, varint label streams, and `f32` normalizer tables —
-//! all byte-structured and highly redundant.
+//! hold JSON text, varint label streams, and `f32` normalizer tables.
+//! Whether those compress depends on the data (smooth normalizer tables
+//! do, irregular ones do not), so the writer packs them and keeps whichever
+//! encoding is smaller.
 //!
 //! The compressor is deliberately small and in-tree: an LEB128 varint
 //! layer plus a stride-aware bit-plane RLE. The input is transposed by
@@ -53,10 +55,16 @@ pub const HEADER_LEN: usize = 32;
 pub const PAYLOAD_ALIGN: usize = 64;
 
 /// Caps on the header length fields: anything beyond these is a corrupt or
-/// hostile file, rejected before any allocation is sized from it.
+/// hostile file, rejected outright. Lengths within the caps size at most a
+/// [`MAX_RESERVE`] reservation: sections are read as their bytes arrive.
 const MAX_META_LEN: u64 = 1 << 22; // 4 MiB of metadata JSON
 const MAX_AUX_LEN: u64 = 1 << 31; // 2 GiB of labels / normalizer tables
 const MAX_PLANES_LEN: u64 = 1 << 37; // 128 GiB of packed hypervectors
+
+/// Largest buffer reserved up front from a declared section length: enough
+/// for a D = 10,000 model with hundreds of classes in one allocation, small
+/// enough that a lying header costs nothing.
+const MAX_RESERVE: u64 = 1 << 20;
 
 /// What a container holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,13 +112,13 @@ impl Artifact {
     }
 }
 
-/// How the metadata and aux sections are encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How the metadata and aux sections are encoded. The writer picks the
+/// smaller of the two (see [`write_container`]); readers decode both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compression {
     /// Sections stored verbatim.
     Stored,
     /// Sections packed with the bit-plane RLE codec ([`pack`]).
-    #[default]
     Packed,
 }
 
@@ -599,13 +607,23 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<MetaValue, LehdcError> 
 // Container write / read
 // ---------------------------------------------------------------------------
 
+/// A validated container header: what the fixed 32 bytes say about the file.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Header {
+    /// Artifact type byte, decoded.
+    pub artifact: Artifact,
+    /// Compression byte, decoded.
+    pub compression: Compression,
+    meta_len: u64,
+    aux_len: u64,
+    planes_len: u64,
+}
+
 /// A container read back into memory, payload as one contiguous word vec.
 #[derive(Debug)]
 pub struct Container {
     /// Artifact type byte, decoded.
     pub artifact: Artifact,
-    /// Compression byte, decoded.
-    pub compression: Compression,
     /// Metadata JSON, already decompressed.
     pub meta: String,
     /// Aux section, already decompressed.
@@ -622,23 +640,30 @@ pub const STRIDE_BYTES: usize = 1;
 /// Writes a complete container.
 ///
 /// `planes` are written back-to-back in order; `aux_stride` is the codec
-/// stride used when `compression` is [`Compression::Packed`].
+/// stride for the aux section. The metadata and aux sections are packed
+/// with the bit-plane codec, and the packed bytes are kept only when they
+/// are smaller than the raw sections (a tie stays stored); the compression
+/// byte records the choice.
 pub fn write_container<W: Write>(
     writer: &mut W,
     artifact: Artifact,
-    compression: Compression,
     meta_json: &str,
     aux: &[u8],
     aux_stride: usize,
     planes: &[&[u64]],
 ) -> Result<(), LehdcError> {
-    let (meta_blob, aux_blob) = match compression {
-        Compression::Stored => (meta_json.as_bytes().to_vec(), aux.to_vec()),
-        Compression::Packed => (
-            pack(meta_json.as_bytes(), STRIDE_BYTES),
-            pack(aux, aux_stride),
-        ),
-    };
+    let packed_meta = pack(meta_json.as_bytes(), STRIDE_BYTES);
+    let packed_aux = pack(aux, aux_stride);
+    let (compression, meta_blob, aux_blob) =
+        if packed_meta.len() + packed_aux.len() < meta_json.len() + aux.len() {
+            (
+                Compression::Packed,
+                packed_meta.as_slice(),
+                packed_aux.as_slice(),
+            )
+        } else {
+            (Compression::Stored, meta_json.as_bytes(), aux)
+        };
     let meta_len = u32::try_from(meta_blob.len())
         .map_err(|_| LehdcError::ModelFormat("metadata too large".into()))?;
     let planes_len: usize = planes.iter().map(|p| p.len() * 8).sum();
@@ -649,8 +674,8 @@ pub fn write_container<W: Write>(
     writer.write_all(&meta_len.to_le_bytes())?;
     writer.write_all(&(aux_blob.len() as u64).to_le_bytes())?;
     writer.write_all(&(planes_len as u64).to_le_bytes())?;
-    writer.write_all(&meta_blob)?;
-    writer.write_all(&aux_blob)?;
+    writer.write_all(meta_blob)?;
+    writer.write_all(aux_blob)?;
     let written = HEADER_LEN + meta_blob.len() + aux_blob.len();
     let pad = (PAYLOAD_ALIGN - written % PAYLOAD_ALIGN) % PAYLOAD_ALIGN;
     writer.write_all(&[0u8; PAYLOAD_ALIGN][..pad])?;
@@ -665,11 +690,22 @@ pub fn write_container<W: Write>(
     Ok(())
 }
 
-/// Reads a container after its 4-byte magic has already been consumed
-/// (the io-layer dispatcher peeks the magic to route legacy files).
-pub fn read_container_after_magic<R: Read>(reader: &mut R) -> Result<Container, LehdcError> {
-    let mut fixed = [0u8; HEADER_LEN - 4];
-    reader.read_exact(&mut fixed).map_err(truncated)?;
+/// Reads and validates the fixed header: magic, version, artifact and
+/// compression bytes, reserved bytes, and the section length caps.
+///
+/// # Errors
+///
+/// Returns [`LehdcError::ModelFormat`] for a file that is not an `LHDC`
+/// container, is truncated, or has an invalid field.
+pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<Header, LehdcError> {
+    let header = read_section(reader, HEADER_LEN as u64)?;
+    let (magic, fixed) = header.split_at(4);
+    if magic != MAGIC {
+        return Err(LehdcError::ModelFormat(format!(
+            "bad magic \"{}\", not an LHDC container",
+            magic.escape_ascii()
+        )));
+    }
     let version = u32::from_le_bytes(fixed[0..4].try_into().unwrap());
     if version != VERSION {
         return Err(LehdcError::ModelFormat(format!(
@@ -696,22 +732,38 @@ pub fn read_container_after_magic<R: Read>(reader: &mut R) -> Result<Container, 
             "payload length {planes_len} is not a whole number of u64 words"
         )));
     }
+    Ok(Header {
+        artifact,
+        compression,
+        meta_len,
+        aux_len,
+        planes_len,
+    })
+}
 
-    let mut meta_blob = vec![0u8; meta_len as usize];
-    reader.read_exact(&mut meta_blob).map_err(truncated)?;
-    let mut aux_blob = vec![0u8; aux_len as usize];
-    reader.read_exact(&mut aux_blob).map_err(truncated)?;
+/// Reads a complete container, magic included.
+///
+/// Section buffers grow as bytes arrive (past a small up-front reservation),
+/// so a header that declares more bytes than the file holds is a "file
+/// truncated" error, never an allocation sized from the header.
+///
+/// # Errors
+///
+/// As [`read_header`], plus truncated sections, nonzero padding, and
+/// undecodable packed sections.
+pub fn read_container<R: Read>(reader: &mut R) -> Result<Container, LehdcError> {
+    let header = read_header(reader)?;
+    let meta_blob = read_section(reader, header.meta_len)?;
+    let aux_blob = read_section(reader, header.aux_len)?;
     let consumed = HEADER_LEN + meta_blob.len() + aux_blob.len();
     let pad = (PAYLOAD_ALIGN - consumed % PAYLOAD_ALIGN) % PAYLOAD_ALIGN;
-    let mut padding = [0u8; PAYLOAD_ALIGN];
-    reader.read_exact(&mut padding[..pad]).map_err(truncated)?;
-    if padding[..pad].iter().any(|&b| b != 0) {
+    if read_section(reader, pad as u64)?.iter().any(|&b| b != 0) {
         return Err(LehdcError::ModelFormat(
             "alignment padding is not zeroed".into(),
         ));
     }
 
-    let (meta_bytes, aux) = match compression {
+    let (meta_bytes, aux) = match header.compression {
         Compression::Stored => (meta_blob, aux_blob),
         Compression::Packed => (unpack(&meta_blob)?, unpack(&aux_blob)?),
     };
@@ -719,27 +771,29 @@ pub fn read_container_after_magic<R: Read>(reader: &mut R) -> Result<Container, 
         .map_err(|_| LehdcError::ModelFormat("metadata is not valid UTF-8".into()))?;
 
     // The payload is one bulk read — word planes need no parsing.
-    let mut payload = vec![0u8; planes_len as usize];
-    reader.read_exact(&mut payload).map_err(truncated)?;
+    let payload = read_section(reader, header.planes_len)?;
     let words = payload
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect();
 
     Ok(Container {
-        artifact,
-        compression,
+        artifact: header.artifact,
         meta,
         aux,
         words,
     })
 }
 
-fn truncated(e: std::io::Error) -> LehdcError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        LehdcError::ModelFormat("file truncated".into())
+/// Reads exactly `len` bytes. At most [`MAX_RESERVE`] bytes are reserved
+/// on the header's word; beyond that the buffer grows only as bytes arrive.
+fn read_section<R: Read>(reader: &mut R, len: u64) -> Result<Vec<u8>, LehdcError> {
+    let mut buf = Vec::with_capacity(len.min(MAX_RESERVE) as usize);
+    reader.take(len).read_to_end(&mut buf)?;
+    if buf.len() as u64 == len {
+        Ok(buf)
     } else {
-        LehdcError::Io(e)
+        Err(LehdcError::ModelFormat("file truncated".into()))
     }
 }
 
@@ -865,29 +919,33 @@ mod tests {
     }
 
     #[test]
-    fn container_roundtrips_both_compressions() {
-        let planes: Vec<u64> = (0..37).map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i)).collect();
-        for compression in [Compression::Stored, Compression::Packed] {
+    fn container_roundtrips_both_encodings() {
+        let planes: Vec<u64> = (0..37)
+            .map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i))
+            .collect();
+        // Long zero runs pack; a short irregular aux does not.
+        let smooth = vec![0u8; 4096];
+        let irregular: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(151) ^ 0x5a).collect();
+        for (aux, want) in [
+            (&smooth, Compression::Packed),
+            (&irregular, Compression::Stored),
+        ] {
             let mut buf = Vec::new();
             write_container(
                 &mut buf,
                 Artifact::Model,
-                compression,
                 "{\"dim\":2368,\"classes\":1}",
-                &[1, 2, 3, 250],
+                aux,
                 STRIDE_BYTES,
                 &[&planes],
             )
             .expect("write");
+            assert_eq!(buf[9], want.byte());
             let mut reader = &buf[..];
-            let mut magic = [0u8; 4];
-            reader.read_exact(&mut magic).unwrap();
-            assert_eq!(magic, MAGIC);
-            let c = read_container_after_magic(&mut reader).expect("read");
+            let c = read_container(&mut reader).expect("read");
             assert_eq!(c.artifact, Artifact::Model);
-            assert_eq!(c.compression, compression);
             assert_eq!(c.meta, "{\"dim\":2368,\"classes\":1}");
-            assert_eq!(c.aux, vec![1, 2, 3, 250]);
+            assert_eq!(&c.aux, aux);
             assert_eq!(c.words, planes);
             assert!(reader.is_empty(), "reader must consume the whole file");
         }
@@ -900,7 +958,6 @@ mod tests {
             write_container(
                 &mut buf,
                 Artifact::Model,
-                Compression::Stored,
                 meta,
                 &[7; 13],
                 STRIDE_BYTES,
@@ -916,25 +973,14 @@ mod tests {
     #[test]
     fn header_rejects_bad_fields() {
         let mut buf = Vec::new();
-        write_container(
-            &mut buf,
-            Artifact::Bundle,
-            Compression::Stored,
-            "{}",
-            &[],
-            1,
-            &[],
-        )
-        .expect("write");
+        write_container(&mut buf, Artifact::Bundle, "{}", &[], 1, &[]).expect("write");
+        assert_eq!(buf[9], Compression::Stored.byte());
         let check = |mutate: fn(&mut Vec<u8>), what: &str| {
             let mut bad = buf.clone();
             mutate(&mut bad);
-            let mut reader = &bad[4..];
-            assert!(
-                read_container_after_magic(&mut reader).is_err(),
-                "{what} accepted"
-            );
+            assert!(read_container(&mut &bad[..]).is_err(), "{what} accepted");
         };
+        check(|b| b[0] = b'X', "bad magic");
         check(|b| b[4] = 99, "bad version");
         check(|b| b[8] = 0, "artifact byte 0");
         check(|b| b[9] = 7, "unknown compression");

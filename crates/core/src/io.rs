@@ -1,17 +1,9 @@
-//! Model persistence: the versioned `LHDC` container plus the legacy
-//! readers it replaces.
-//!
-//! Every artifact — bare model, deployable bundle, encoded corpus — is
-//! written as one [`crate::format`] container: magic `LHDC`, version,
-//! artifact/compression bytes, flat JSON metadata, an artifact-specific
-//! aux section, and the packed hypervector word planes on a 64-byte
-//! boundary so the serve SWAP path loads them with a single bulk read.
-//!
-//! The pre-container formats (`LEHDCMDL` / `LEHDCBDL` / `LEHDCENC`)
-//! remain readable: [`read_model`], [`read_bundle`], and [`read_encoded`]
-//! dispatch on the magic, so old artifacts keep loading while everything
-//! written from now on is a container. The legacy writers survive as
-//! `write_*_legacy` for conversion tooling and dispatch tests.
+//! Model persistence: every artifact — bare model, deployable bundle,
+//! encoded corpus — is written and read as one [`crate::format`]
+//! container: magic `LHDC`, version, artifact/compression bytes, flat JSON
+//! metadata, an artifact-specific aux section, and the packed hypervector
+//! word planes on a 64-byte boundary so the serve SWAP path loads them
+//! with a single bulk read.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -22,17 +14,9 @@ use hdc_datasets::MinMaxNormalizer;
 
 use crate::error::LehdcError;
 use crate::format::{
-    self, meta_f32, read_varint, write_varint, Artifact, Compression, MetaWriter, STRIDE_BYTES,
-    STRIDE_F32,
+    self, meta_f32, read_varint, write_varint, Artifact, MetaWriter, STRIDE_BYTES, STRIDE_F32,
 };
 use crate::model::{project_dims, HdcModel};
-
-const LEGACY_MODEL_MAGIC: &[u8; 8] = b"LEHDCMDL";
-const LEGACY_MODEL_VERSION: u32 = 1;
-const LEGACY_BUNDLE_MAGIC: &[u8; 8] = b"LEHDCBDL";
-const LEGACY_BUNDLE_VERSION: u32 = 1;
-const LEGACY_ENCODED_MAGIC: &[u8; 8] = b"LEHDCENC";
-const LEGACY_ENCODED_VERSION: u32 = 1;
 
 /// Provenance string stamped into every container's metadata.
 const PROVENANCE: &str = concat!("lehdc-suite ", env!("CARGO_PKG_VERSION"));
@@ -70,31 +54,6 @@ where
     })
 }
 
-// ---------------------------------------------------------------------------
-// Magic dispatch
-// ---------------------------------------------------------------------------
-
-enum Magic {
-    Container,
-    Legacy([u8; 8]),
-}
-
-/// Reads just enough of the stream to route it: 4 bytes decide container
-/// vs legacy (no legacy magic starts with `LHDC`), legacy needs 4 more.
-fn read_magic<R: Read>(reader: &mut R) -> Result<Magic, LehdcError> {
-    let mut first = [0u8; 4];
-    reader.read_exact(&mut first).map_err(truncated)?;
-    if first == format::MAGIC {
-        return Ok(Magic::Container);
-    }
-    let mut rest = [0u8; 4];
-    reader.read_exact(&mut rest).map_err(truncated)?;
-    let mut magic = [0u8; 8];
-    magic[..4].copy_from_slice(&first);
-    magic[4..].copy_from_slice(&rest);
-    Ok(Magic::Legacy(magic))
-}
-
 fn expect_artifact(c: &format::Container, want: Artifact) -> Result<(), LehdcError> {
     if c.artifact == want {
         Ok(())
@@ -108,20 +67,15 @@ fn expect_artifact(c: &format::Container, want: Artifact) -> Result<(), LehdcErr
 }
 
 // ---------------------------------------------------------------------------
-// Model: container write/read + legacy
+// Model
 // ---------------------------------------------------------------------------
 
-/// Serializes a model as an `LHDC` container with the given section
-/// compression (the word planes are always raw).
+/// Serializes a model as an `LHDC` container.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::Io`] on write failure.
-pub fn write_model_with<W: Write>(
-    model: &HdcModel,
-    mut writer: W,
-    compression: Compression,
-) -> Result<(), LehdcError> {
+pub fn write_model<W: Write>(model: &HdcModel, mut writer: W) -> Result<(), LehdcError> {
     let mut meta = MetaWriter::new();
     meta.u64("dim", model.dim().get() as u64)
         .u64("classes", model.n_classes() as u64)
@@ -130,42 +84,11 @@ pub fn write_model_with<W: Write>(
     format::write_container(
         &mut writer,
         Artifact::Model,
-        compression,
         &meta.finish(),
         &[],
         STRIDE_BYTES,
         &planes,
     )
-}
-
-/// Serializes a model to any writer in the current (container) format.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::Io`] on write failure.
-pub fn write_model<W: Write>(model: &HdcModel, writer: W) -> Result<(), LehdcError> {
-    // A bare model is essentially all planes; stored sections keep the
-    // write single-pass with nothing worth compressing.
-    write_model_with(model, writer, Compression::Stored)
-}
-
-/// Serializes a model in the legacy `LEHDCMDL` layout (for conversion
-/// tooling and legacy-dispatch tests; new artifacts use [`write_model`]).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::Io`] on write failure.
-pub fn write_model_legacy<W: Write>(model: &HdcModel, mut writer: W) -> Result<(), LehdcError> {
-    writer.write_all(LEGACY_MODEL_MAGIC)?;
-    writer.write_all(&LEGACY_MODEL_VERSION.to_le_bytes())?;
-    writer.write_all(&(model.dim().get() as u64).to_le_bytes())?;
-    writer.write_all(&(model.n_classes() as u64).to_le_bytes())?;
-    for hv in model.class_hvs() {
-        for word in hv.as_words() {
-            writer.write_all(&word.to_le_bytes())?;
-        }
-    }
-    Ok(())
 }
 
 fn check_model_shape(dim: usize, k: usize) -> Result<(), LehdcError> {
@@ -218,53 +141,14 @@ fn model_from_container(c: &format::Container) -> Result<HdcModel, LehdcError> {
     HdcModel::new(hvs)
 }
 
-fn read_model_legacy_body<R: Read>(reader: &mut R) -> Result<HdcModel, LehdcError> {
-    let version = read_u32(reader)?;
-    if version != LEGACY_MODEL_VERSION {
-        return Err(LehdcError::ModelFormat(format!(
-            "unsupported version {version} (this build reads {LEGACY_MODEL_VERSION})"
-        )));
-    }
-    let dim = read_u64(reader)? as usize;
-    let k = read_u64(reader)? as usize;
-    check_model_shape(dim, k)?;
-    let d = Dim::new(dim);
-    let words_per_hv = d.words();
-    let mut class_hvs = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut buf = [0u8; 8];
-        let mut words = Vec::with_capacity(words_per_hv);
-        for _ in 0..words_per_hv {
-            reader.read_exact(&mut buf).map_err(truncated)?;
-            words.push(u64::from_le_bytes(buf));
-        }
-        let hv = BinaryHv::from_words(words, d).map_err(|_| {
-            LehdcError::ModelFormat("padding bits beyond the dimension are set".into())
-        })?;
-        class_hvs.push(hv);
-    }
-    HdcModel::new(class_hvs)
-}
-
-/// Deserializes a model from any reader, dispatching on the magic:
-/// `LHDC` containers and legacy `LEHDCMDL` files both load.
+/// Deserializes a model from any reader.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::ModelFormat`] for a bad magic, version, or
 /// truncated payload, and [`LehdcError::Io`] on read failure.
 pub fn read_model<R: Read>(mut reader: R) -> Result<HdcModel, LehdcError> {
-    match read_magic(&mut reader)? {
-        Magic::Container => {
-            model_from_container(&format::read_container_after_magic(&mut reader)?)
-        }
-        Magic::Legacy(magic) if &magic == LEGACY_MODEL_MAGIC => {
-            read_model_legacy_body(&mut reader)
-        }
-        Magic::Legacy(magic) => Err(LehdcError::ModelFormat(format!(
-            "bad magic {magic:?}, not a LeHDC model file"
-        ))),
-    }
+    model_from_container(&format::read_container(&mut reader)?)
 }
 
 /// Saves a model to a file path (atomically: temp file + fsync + rename, so
@@ -539,22 +423,17 @@ impl ModelBundle {
 }
 
 // ---------------------------------------------------------------------------
-// Bundle: container write/read + legacy
+// Bundle
 // ---------------------------------------------------------------------------
 
-/// Serializes a bundle as an `LHDC` container with the given section
-/// compression.
+/// Serializes a bundle as an `LHDC` container.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::InvalidConfig`] if the bundle's shape invariants
 /// fail (see [`ModelBundle::validate_shape`]), or [`LehdcError::Io`] on
 /// write failure.
-pub fn write_bundle_with<W: Write>(
-    bundle: &ModelBundle,
-    mut writer: W,
-    compression: Compression,
-) -> Result<(), LehdcError> {
+pub fn write_bundle<W: Write>(bundle: &ModelBundle, mut writer: W) -> Result<(), LehdcError> {
     bundle.validate_shape()?;
     let enc = &bundle.encoder;
     let mut meta = MetaWriter::new();
@@ -608,7 +487,6 @@ pub fn write_bundle_with<W: Write>(
     format::write_container(
         &mut writer,
         Artifact::Bundle,
-        compression,
         &meta.finish(),
         &aux,
         stride,
@@ -616,57 +494,10 @@ pub fn write_bundle_with<W: Write>(
     )
 }
 
-/// Serializes a bundle to any writer in the current (container) format
-/// with the default (packed) section compression.
-///
-/// # Errors
-///
-/// As [`write_bundle_with`].
-pub fn write_bundle<W: Write>(bundle: &ModelBundle, writer: W) -> Result<(), LehdcError> {
-    write_bundle_with(bundle, writer, Compression::Packed)
-}
-
-/// Serializes a bundle in the legacy `LEHDCBDL` layout. Distilled bundles
-/// cannot be represented (the legacy format has no selection section).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for a distilled bundle or a
-/// model/encoder/normalizer shape mismatch, or [`LehdcError::Io`] on
-/// write failure.
-pub fn write_bundle_legacy<W: Write>(
-    bundle: &ModelBundle,
-    mut writer: W,
-) -> Result<(), LehdcError> {
-    if bundle.selection.is_some() {
-        return Err(LehdcError::InvalidConfig(
-            "the legacy bundle format cannot hold a distilled selection".into(),
-        ));
-    }
-    bundle.validate_shape()?;
-    writer.write_all(LEGACY_BUNDLE_MAGIC)?;
-    writer.write_all(&LEGACY_BUNDLE_VERSION.to_le_bytes())?;
-    writer.write_all(&(bundle.encoder.dim().get() as u64).to_le_bytes())?;
-    writer.write_all(&(bundle.encoder.n_features() as u64).to_le_bytes())?;
-    writer.write_all(&(bundle.encoder.levels().n_levels() as u64).to_le_bytes())?;
-    let (min, max) = bundle.encoder.quantizer().range();
-    writer.write_all(&min.to_le_bytes())?;
-    writer.write_all(&max.to_le_bytes())?;
-    writer.write_all(&bundle.encoder.seed().to_le_bytes())?;
-    match &bundle.normalizer {
-        None => writer.write_all(&[0u8])?,
-        Some(norm) => {
-            writer.write_all(&[1u8])?;
-            for &v in norm.mins() {
-                writer.write_all(&v.to_le_bytes())?;
-            }
-            for &v in norm.ranges() {
-                writer.write_all(&v.to_le_bytes())?;
-            }
-        }
-    }
-    write_model_legacy(&bundle.model, writer)
-}
+/// Largest item memory (ID plus level hypervectors, in bits) a bundle may
+/// ask the loader to regenerate: ≈ 256× MNIST's 8 Mbit at D = 10,000, so
+/// a file of a few hundred bytes cannot demand gigabytes of codebook.
+const MAX_ITEM_MEMORY_BITS: u64 = 1 << 31;
 
 fn check_encoder_shape(
     encoder_dim: usize,
@@ -682,6 +513,13 @@ fn check_encoder_shape(
     if n_levels < 2 || n_levels > encoder_dim {
         return Err(LehdcError::ModelFormat(format!(
             "implausible level count L={n_levels} for D={encoder_dim} (need 2 ≤ L ≤ D)"
+        )));
+    }
+    let bits = (n_features + n_levels) as u64 * encoder_dim as u64;
+    if bits > MAX_ITEM_MEMORY_BITS {
+        return Err(LehdcError::ModelFormat(format!(
+            "encoder item memory of {bits} bits (D={encoder_dim}, N={n_features}, L={n_levels}) \
+             exceeds the {MAX_ITEM_MEMORY_BITS}-bit limit"
         )));
     }
     Ok(())
@@ -716,7 +554,9 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
                 "selection holds {n_sel} dims but the model dimension is {dim}"
             )));
         }
-        let mut dims = Vec::with_capacity(n_sel);
+        // Each dim is at least one varint byte, so the aux length bounds
+        // the reservation whatever the metadata claims.
+        let mut dims = Vec::with_capacity(n_sel.min(c.aux.len()));
         let mut current = 0u64;
         for i in 0..n_sel {
             let delta = read_varint(&c.aux, &mut pos)?;
@@ -800,94 +640,15 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
     Ok(bundle)
 }
 
-fn read_bundle_legacy_body<R: Read>(reader: &mut R) -> Result<ModelBundle, LehdcError> {
-    let version = read_u32(reader)?;
-    if version != LEGACY_BUNDLE_VERSION {
-        return Err(LehdcError::ModelFormat(format!(
-            "unsupported bundle version {version} (this build reads {LEGACY_BUNDLE_VERSION})"
-        )));
-    }
-    let dim = read_u64(reader)? as usize;
-    let n_features = read_u64(reader)? as usize;
-    let n_levels = read_u64(reader)? as usize;
-    let min = f32::from_le_bytes(read_array(reader)?);
-    let max = f32::from_le_bytes(read_array(reader)?);
-    let seed = read_u64(reader)?;
-    check_encoder_shape(dim, n_features, n_levels)?;
-    let has_normalizer = read_array::<1, _>(reader)?[0];
-    let normalizer = match has_normalizer {
-        0 => None,
-        1 => {
-            let mut mins = Vec::with_capacity(n_features);
-            for _ in 0..n_features {
-                mins.push(f32::from_le_bytes(read_array(reader)?));
-            }
-            let mut ranges = Vec::with_capacity(n_features);
-            for _ in 0..n_features {
-                ranges.push(f32::from_le_bytes(read_array(reader)?));
-            }
-            Some(MinMaxNormalizer::from_parts(mins, ranges)?)
-        }
-        other => {
-            return Err(LehdcError::ModelFormat(format!(
-                "invalid normalizer flag {other}"
-            )));
-        }
-    };
-    let model = read_model(&mut *reader)?;
-    if model.dim().get() != dim {
-        return Err(LehdcError::ModelFormat(format!(
-            "bundle model dimension {} does not match encoder dimension {dim}",
-            model.dim()
-        )));
-    }
-    let encoder = RecordEncoder::builder(Dim::new(dim), n_features)
-        .levels(n_levels)
-        .value_range(min, max)
-        .seed(seed)
-        .build()?;
-    Ok(ModelBundle {
-        model,
-        encoder,
-        normalizer,
-        selection: None,
-    })
-}
-
-/// Deserializes a bundle from any reader, dispatching on the magic:
-/// `LHDC` containers and legacy `LEHDCBDL` files both load. The encoder's
-/// item memories are regenerated from the persisted seed.
+/// Deserializes a bundle from any reader. The encoder's item memories are
+/// regenerated from the persisted seed.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::ModelFormat`] for a bad magic/version/payload and
 /// [`LehdcError::Hdc`] if the persisted encoder configuration is invalid.
 pub fn read_bundle<R: Read>(mut reader: R) -> Result<ModelBundle, LehdcError> {
-    match read_magic(&mut reader)? {
-        Magic::Container => {
-            bundle_from_container(&format::read_container_after_magic(&mut reader)?)
-        }
-        Magic::Legacy(magic) if &magic == LEGACY_BUNDLE_MAGIC => {
-            read_bundle_legacy_body(&mut reader)
-        }
-        Magic::Legacy(magic) => Err(LehdcError::ModelFormat(format!(
-            "bad magic {magic:?}, not a LeHDC bundle file"
-        ))),
-    }
-}
-
-/// Saves a bundle to a file path (atomically: temp file + fsync + rename)
-/// with an explicit section compression.
-///
-/// # Errors
-///
-/// As [`write_bundle_with`], plus file-creation failures.
-pub fn save_bundle_with(
-    bundle: &ModelBundle,
-    path: &Path,
-    compression: Compression,
-) -> Result<(), LehdcError> {
-    write_atomic(path, |w| write_bundle_with(bundle, w, compression))
+    bundle_from_container(&format::read_container(&mut reader)?)
 }
 
 /// Saves a bundle to a file path (atomically: temp file + fsync + rename, so
@@ -898,15 +659,6 @@ pub fn save_bundle_with(
 /// As [`write_bundle`], plus file-creation failures.
 pub fn save_bundle(bundle: &ModelBundle, path: &Path) -> Result<(), LehdcError> {
     write_atomic(path, |w| write_bundle(bundle, w))
-}
-
-/// Saves a bundle in the legacy `LEHDCBDL` layout (conversion tooling).
-///
-/// # Errors
-///
-/// As [`write_bundle_legacy`], plus file-creation failures.
-pub fn save_bundle_legacy(bundle: &ModelBundle, path: &Path) -> Result<(), LehdcError> {
-    write_atomic(path, |w| write_bundle_legacy(bundle, w))
 }
 
 /// Loads a bundle from a file path with full validation and path context:
@@ -925,7 +677,7 @@ pub fn load_bundle(path: &Path) -> Result<ModelBundle, LehdcError> {
 }
 
 // ---------------------------------------------------------------------------
-// Encoded corpus: container write/read + legacy
+// Encoded corpus
 // ---------------------------------------------------------------------------
 
 /// Serializes an encoded corpus (hypervectors + labels) as an `LHDC`
@@ -936,10 +688,9 @@ pub fn load_bundle(path: &Path) -> Result<ModelBundle, LehdcError> {
 /// # Errors
 ///
 /// Returns [`LehdcError::Io`] on write failure.
-pub fn write_encoded_with<W: Write>(
+pub fn write_encoded<W: Write>(
     encoded: &crate::EncodedDataset,
     mut writer: W,
-    compression: Compression,
 ) -> Result<(), LehdcError> {
     let mut meta = MetaWriter::new();
     meta.u64("dim", encoded.dim().get() as u64)
@@ -954,49 +705,11 @@ pub fn write_encoded_with<W: Write>(
     format::write_container(
         &mut writer,
         Artifact::Encoded,
-        compression,
         &meta.finish(),
         &aux,
         STRIDE_BYTES,
         &planes,
     )
-}
-
-/// Serializes an encoded corpus in the current (container) format with the
-/// default (packed) section compression.
-///
-/// # Errors
-///
-/// As [`write_encoded_with`].
-pub fn write_encoded<W: Write>(
-    encoded: &crate::EncodedDataset,
-    writer: W,
-) -> Result<(), LehdcError> {
-    write_encoded_with(encoded, writer, Compression::Packed)
-}
-
-/// Serializes an encoded corpus in the legacy `LEHDCENC` layout.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::Io`] on write failure.
-pub fn write_encoded_legacy<W: Write>(
-    encoded: &crate::EncodedDataset,
-    mut writer: W,
-) -> Result<(), LehdcError> {
-    writer.write_all(LEGACY_ENCODED_MAGIC)?;
-    writer.write_all(&LEGACY_ENCODED_VERSION.to_le_bytes())?;
-    writer.write_all(&(encoded.dim().get() as u64).to_le_bytes())?;
-    writer.write_all(&(encoded.n_classes() as u64).to_le_bytes())?;
-    writer.write_all(&(encoded.len() as u64).to_le_bytes())?;
-    for i in 0..encoded.len() {
-        let (hv, label) = encoded.sample(i);
-        writer.write_all(&(label as u64).to_le_bytes())?;
-        for word in hv.as_words() {
-            writer.write_all(&word.to_le_bytes())?;
-        }
-    }
-    Ok(())
 }
 
 fn check_corpus_shape(dim: usize, n_classes: usize, n_samples: usize) -> Result<(), LehdcError> {
@@ -1021,7 +734,7 @@ fn encoded_from_container(c: &format::Container) -> Result<crate::EncodedDataset
     let n_samples = meta.need_u64("samples")? as usize;
     check_corpus_shape(dim, n_classes, n_samples)?;
     let mut pos = 0usize;
-    let mut labels = Vec::with_capacity(n_samples);
+    let mut labels = Vec::with_capacity(n_samples.min(c.aux.len()));
     for _ in 0..n_samples {
         labels.push(read_varint(&c.aux, &mut pos)? as usize);
     }
@@ -1034,57 +747,14 @@ fn encoded_from_container(c: &format::Container) -> Result<crate::EncodedDataset
     crate::EncodedDataset::from_parts(hvs, labels, n_classes)
 }
 
-fn read_encoded_legacy_body<R: Read>(reader: &mut R) -> Result<crate::EncodedDataset, LehdcError> {
-    let version = read_u32(reader)?;
-    if version != LEGACY_ENCODED_VERSION {
-        return Err(LehdcError::ModelFormat(format!(
-            "unsupported encoded-corpus version {version}"
-        )));
-    }
-    let dim = read_u64(reader)? as usize;
-    let n_classes = read_u64(reader)? as usize;
-    let n_samples = read_u64(reader)? as usize;
-    check_corpus_shape(dim, n_classes, n_samples)?;
-    let d = Dim::new(dim);
-    let words_per_hv = d.words();
-    let mut hvs = Vec::with_capacity(n_samples);
-    let mut labels = Vec::with_capacity(n_samples);
-    let mut buf = [0u8; 8];
-    for _ in 0..n_samples {
-        reader.read_exact(&mut buf).map_err(truncated)?;
-        labels.push(u64::from_le_bytes(buf) as usize);
-        let mut words = Vec::with_capacity(words_per_hv);
-        for _ in 0..words_per_hv {
-            reader.read_exact(&mut buf).map_err(truncated)?;
-            words.push(u64::from_le_bytes(buf));
-        }
-        let hv = BinaryHv::from_words(words, d).map_err(|_| {
-            LehdcError::ModelFormat("padding bits beyond the dimension are set".into())
-        })?;
-        hvs.push(hv);
-    }
-    crate::EncodedDataset::from_parts(hvs, labels, n_classes)
-}
-
-/// Deserializes an encoded corpus from any reader, dispatching on the
-/// magic: `LHDC` containers and legacy `LEHDCENC` files both load.
+/// Deserializes an encoded corpus from any reader.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::ModelFormat`] for a bad magic/version, implausible
 /// shape, truncated payload, or invalid labels/padding bits.
 pub fn read_encoded<R: Read>(mut reader: R) -> Result<crate::EncodedDataset, LehdcError> {
-    match read_magic(&mut reader)? {
-        Magic::Container => {
-            encoded_from_container(&format::read_container_after_magic(&mut reader)?)
-        }
-        Magic::Legacy(magic) if &magic == LEGACY_ENCODED_MAGIC => {
-            read_encoded_legacy_body(&mut reader)
-        }
-        Magic::Legacy(magic) => Err(LehdcError::ModelFormat(format!(
-            "bad magic {magic:?}, not a LeHDC encoded-corpus file"
-        ))),
-    }
+    encoded_from_container(&format::read_container(&mut reader)?)
 }
 
 /// Saves an encoded corpus to a file path (atomically: temp file + fsync +
@@ -1145,73 +815,21 @@ fn load_validated<T>(
 ///
 /// # Errors
 ///
-/// Returns [`LehdcError::ModelFormat`] naming `path` if the header is
-/// unreadable or matches no known format.
+/// Returns [`LehdcError::ModelFormat`] naming `path` if the file cannot be
+/// opened or its header is not a valid `LHDC` container header.
 pub fn describe_file(path: &Path) -> Result<String, LehdcError> {
     let with_path = |msg: String| LehdcError::ModelFormat(format!("{}: {msg}", path.display()));
     let file = File::open(path).map_err(|e| with_path(format!("cannot open: {e}")))?;
-    let mut reader = BufReader::new(file);
-    let mut first = [0u8; 4];
-    reader
-        .read_exact(&mut first)
-        .map_err(|_| with_path("file truncated".into()))?;
-    if first == format::MAGIC {
-        let mut fixed = [0u8; 6];
-        reader
-            .read_exact(&mut fixed)
-            .map_err(|_| with_path("file truncated".into()))?;
-        let version = u32::from_le_bytes(fixed[0..4].try_into().unwrap());
-        let artifact = Artifact::from_byte(fixed[4]).map_err(|_| {
-            with_path(format!("unknown artifact type byte {}", fixed[4]))
-        })?;
-        let compression = Compression::from_byte(fixed[5]).map_err(|_| {
-            with_path(format!("unknown compression byte {}", fixed[5]))
-        })?;
-        return Ok(format!(
-            "LHDC container v{version}, {} artifact, {} sections",
-            artifact.name(),
-            compression.name()
-        ));
-    }
-    let mut rest = [0u8; 4];
-    reader
-        .read_exact(&mut rest)
-        .map_err(|_| with_path("file truncated".into()))?;
-    let mut magic = [0u8; 8];
-    magic[..4].copy_from_slice(&first);
-    magic[4..].copy_from_slice(&rest);
-    match &magic {
-        m if m == LEGACY_MODEL_MAGIC => Ok("legacy LEHDCMDL model".into()),
-        m if m == LEGACY_BUNDLE_MAGIC => Ok("legacy LEHDCBDL bundle".into()),
-        m if m == LEGACY_ENCODED_MAGIC => Ok("legacy LEHDCENC encoded corpus".into()),
-        m => Err(with_path(format!("unknown magic {m:?}"))),
-    }
-}
-
-fn read_array<const N: usize, R: Read>(reader: &mut R) -> Result<[u8; N], LehdcError> {
-    let mut buf = [0u8; N];
-    reader.read_exact(&mut buf).map_err(truncated)?;
-    Ok(buf)
-}
-
-fn read_u32<R: Read>(reader: &mut R) -> Result<u32, LehdcError> {
-    let mut buf = [0u8; 4];
-    reader.read_exact(&mut buf).map_err(truncated)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(reader: &mut R) -> Result<u64, LehdcError> {
-    let mut buf = [0u8; 8];
-    reader.read_exact(&mut buf).map_err(truncated)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn truncated(e: std::io::Error) -> LehdcError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        LehdcError::ModelFormat("file truncated".into())
-    } else {
-        LehdcError::Io(e)
-    }
+    let header = format::read_header(&mut BufReader::new(file)).map_err(|e| match e {
+        LehdcError::ModelFormat(msg) => with_path(msg),
+        other => other,
+    })?;
+    Ok(format!(
+        "LHDC container v{}, {} artifact, {} sections",
+        format::VERSION,
+        header.artifact.name(),
+        header.compression.name()
+    ))
 }
 
 #[cfg(test)]
@@ -1233,34 +851,11 @@ mod tests {
     fn roundtrip_preserves_the_model() {
         for (k, d) in [(2, 64), (5, 100), (26, 1000), (3, 10_000)] {
             let model = random_model(k, d, k as u64);
-            for compression in [Compression::Stored, Compression::Packed] {
-                let mut buf = Vec::new();
-                write_model_with(&model, &mut buf, compression).unwrap();
-                let loaded = read_model(buf.as_slice()).unwrap();
-                assert_eq!(loaded, model, "roundtrip failed for K={k}, D={d}");
-            }
+            let mut buf = Vec::new();
+            write_model(&model, &mut buf).unwrap();
+            let loaded = read_model(buf.as_slice()).unwrap();
+            assert_eq!(loaded, model, "roundtrip failed for K={k}, D={d}");
         }
-    }
-
-    #[test]
-    fn legacy_model_still_loads() {
-        let model = random_model(4, 300, 7);
-        let mut buf = Vec::new();
-        write_model_legacy(&model, &mut buf).unwrap();
-        assert_eq!(&buf[..8], LEGACY_MODEL_MAGIC);
-        assert_eq!(buf.len(), 28 + 4 * Dim::new(300).words() * 8);
-        let loaded = read_model(buf.as_slice()).unwrap();
-        assert_eq!(loaded, model);
-    }
-
-    #[test]
-    fn container_payload_is_aligned() {
-        let model = random_model(2, 128, 1);
-        let mut buf = Vec::new();
-        write_model(&model, &mut buf).unwrap();
-        assert_eq!(&buf[..4], &format::MAGIC);
-        let planes_bytes = 2 * Dim::new(128).words() * 8;
-        assert_eq!((buf.len() - planes_bytes) % format::PAYLOAD_ALIGN, 0);
     }
 
     #[test]
@@ -1294,23 +889,36 @@ mod tests {
     }
 
     #[test]
-    fn rejects_padding_bit_violations() {
-        // D=65 → second word may only use bit 0. Both formats must reject.
-        let model = random_model(1, 65, 3);
-        let writers: [fn(&HdcModel, &mut Vec<u8>) -> Result<(), LehdcError>; 2] = [
-            |m, w| write_model(m, w),
-            |m, w| write_model_legacy(m, w),
-        ];
-        for write in writers {
-            let mut buf = Vec::new();
-            write(&model, &mut buf).unwrap();
-            let last = buf.len() - 1;
-            buf[last] |= 0x80; // set a padding bit
-            assert!(matches!(
-                read_model(buf.as_slice()),
-                Err(LehdcError::ModelFormat(msg)) if msg.contains("padding")
-            ));
+    fn pre_container_magics_are_typed_errors() {
+        // Files in the retired 8-byte-magic layouts are not containers.
+        for magic in [b"LEHDCMDL", b"LEHDCBDL", b"LEHDCENC"] {
+            let mut bytes = magic.to_vec();
+            bytes.extend_from_slice(&[0; 28]);
+            let b = bytes.as_slice();
+            for result in [
+                read_model(b).map(|_| ()),
+                read_bundle(b).map(|_| ()),
+                read_encoded(b).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(LehdcError::ModelFormat(msg)) if msg.contains("magic"))
+                );
+            }
         }
+    }
+
+    #[test]
+    fn rejects_padding_bit_violations() {
+        // D=65 → second word may only use bit 0.
+        let model = random_model(1, 65, 3);
+        let mut buf = Vec::new();
+        write_model(&model, &mut buf).unwrap();
+        let last = buf.len() - 1;
+        buf[last] |= 0x80; // set a padding bit
+        assert!(matches!(
+            read_model(buf.as_slice()),
+            Err(LehdcError::ModelFormat(msg)) if msg.contains("padding")
+        ));
     }
 
     fn test_bundle(normalizer: Option<MinMaxNormalizer>) -> ModelBundle {
@@ -1330,37 +938,20 @@ mod tests {
     #[test]
     fn bundle_roundtrip_classifies_identically() {
         let bundle = test_bundle(None);
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&bundle, &mut buf, compression).unwrap();
-            let restored = read_bundle(buf.as_slice()).unwrap();
-            assert_eq!(restored.model, bundle.model);
-            assert!(restored.selection.is_none());
-            // The regenerated encoder is bit-identical in behaviour.
-            let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
-            assert_eq!(
-                restored.classify(&sample).unwrap(),
-                bundle.classify(&sample).unwrap()
-            );
-            assert_eq!(
-                restored.encoder.encode(&sample).unwrap(),
-                bundle.encoder.encode(&sample).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn legacy_bundle_still_loads() {
-        let bundle = test_bundle(None);
         let mut buf = Vec::new();
-        write_bundle_legacy(&bundle, &mut buf).unwrap();
-        assert_eq!(&buf[..8], LEGACY_BUNDLE_MAGIC);
+        write_bundle(&bundle, &mut buf).unwrap();
         let restored = read_bundle(buf.as_slice()).unwrap();
         assert_eq!(restored.model, bundle.model);
-        let sample: Vec<f32> = (0..12).map(|i| i as f32 / 24.0).collect();
+        assert!(restored.selection.is_none());
+        // The regenerated encoder is bit-identical in behaviour.
+        let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
         assert_eq!(
             restored.classify(&sample).unwrap(),
             bundle.classify(&sample).unwrap()
+        );
+        assert_eq!(
+            restored.encoder.encode(&sample).unwrap(),
+            bundle.encoder.encode(&sample).unwrap()
         );
     }
 
@@ -1378,18 +969,66 @@ mod tests {
             normalizer: Some(normalizer),
             selection: None,
         };
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&bundle, &mut buf, compression).unwrap();
-            let restored = read_bundle(buf.as_slice()).unwrap();
-            assert_eq!(restored.normalizer, bundle.normalizer);
-            // Raw (un-normalized) features classify identically through both.
-            let raw = [0.7f32, 4.2];
-            assert_eq!(
-                restored.classify(&raw).unwrap(),
-                bundle.classify(&raw).unwrap()
-            );
+        let mut buf = Vec::new();
+        write_bundle(&bundle, &mut buf).unwrap();
+        let restored = read_bundle(buf.as_slice()).unwrap();
+        assert_eq!(restored.normalizer, bundle.normalizer);
+        // Raw (un-normalized) features classify identically through both.
+        let raw = [0.7f32, 4.2];
+        assert_eq!(
+            restored.classify(&raw).unwrap(),
+            bundle.classify(&raw).unwrap()
+        );
+    }
+
+    /// A UCIHAR-shaped bundle (D = 10,000, 561 features, 3 classes) whose
+    /// normalizer tables are built by `table(feature) -> (min, range)`.
+    fn ucihar_bundle(table: impl Fn(usize) -> (f32, f32)) -> ModelBundle {
+        let (mins, ranges): (Vec<f32>, Vec<f32>) = (0..561).map(table).unzip();
+        ModelBundle {
+            model: random_model(3, 10_000, 13),
+            encoder: RecordEncoder::builder(Dim::new(10_000), 561)
+                .levels(32)
+                .seed(13)
+                .build()
+                .unwrap(),
+            normalizer: Some(MinMaxNormalizer::from_parts(mins, ranges).unwrap()),
+            selection: None,
         }
+    }
+
+    #[test]
+    fn writer_keeps_the_smaller_section_encoding() {
+        let planes = 3 * Dim::new(10_000).words() * 8;
+        let raw_aux = 1 + 561 * 8;
+
+        // Smooth tables pack: the file is smaller than its raw aux alone.
+        let smooth = ucihar_bundle(|i| (-((i % 3) as f32), 2.0 + (i % 2) as f32));
+        let mut buf = Vec::new();
+        write_bundle(&smooth, &mut buf).unwrap();
+        assert_eq!(buf[9], format::Compression::Packed.byte());
+        assert!(buf.len() < format::HEADER_LEN + raw_aux + planes);
+        let restored = read_bundle(buf.as_slice()).unwrap();
+        assert_eq!(restored.normalizer, smooth.normalizer);
+
+        // Irregular tables (every mantissa bit live) would grow under the
+        // codec, so they stay stored at their raw size.
+        let mut rng = rng_for(17, 1);
+        let noise: Vec<(f32, f32)> = (0..561)
+            .map(|_| {
+                use testkit::Rng;
+                let a = (rng.random::<u64>() % 1_000_000) as f32 / 977.0 - 500.0;
+                let b = (rng.random::<u64>() % 1_000_000) as f32 / 331.0 + 0.5;
+                (a, b)
+            })
+            .collect();
+        let irregular = ucihar_bundle(|i| noise[i]);
+        let mut buf = Vec::new();
+        write_bundle(&irregular, &mut buf).unwrap();
+        assert_eq!(buf[9], format::Compression::Stored.byte());
+        assert_eq!(buf.len(), 8_504);
+        let restored = read_bundle(buf.as_slice()).unwrap();
+        assert_eq!(restored.normalizer, irregular.normalizer);
     }
 
     #[test]
@@ -1399,27 +1038,22 @@ mod tests {
         let sel = distilled.selection.as_ref().unwrap();
         assert_eq!(sel.len(), 100);
         assert!(sel.windows(2).all(|w| w[0] < w[1]));
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&distilled, &mut buf, compression).unwrap();
-            let restored = read_bundle(buf.as_slice()).unwrap();
-            assert_eq!(restored.model, distilled.model);
-            assert_eq!(restored.selection, distilled.selection);
-            let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
-            assert_eq!(
-                restored.classify(&sample).unwrap(),
-                distilled.classify(&sample).unwrap()
-            );
-        }
+        let mut buf = Vec::new();
+        write_bundle(&distilled, &mut buf).unwrap();
+        let restored = read_bundle(buf.as_slice()).unwrap();
+        assert_eq!(restored.model, distilled.model);
+        assert_eq!(restored.selection, distilled.selection);
+        let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
+        assert_eq!(
+            restored.classify(&sample).unwrap(),
+            distilled.classify(&sample).unwrap()
+        );
         // Distilling a distilled bundle composes through to encoder dims.
         let twice = distilled.distill(40).unwrap();
         let sel2 = twice.selection.as_ref().unwrap();
         assert_eq!(sel2.len(), 40);
         assert!(sel2.iter().all(|d| sel.contains(d)));
         assert!(twice.validate_shape().is_ok());
-        // The legacy format cannot hold a selection.
-        let mut buf = Vec::new();
-        assert!(write_bundle_legacy(&distilled, &mut buf).is_err());
     }
 
     #[test]
@@ -1454,7 +1088,6 @@ mod tests {
         };
         let mut buf = Vec::new();
         assert!(write_bundle(&bundle, &mut buf).is_err());
-        assert!(write_bundle_legacy(&bundle, &mut buf).is_err());
     }
 
     #[test]
@@ -1472,19 +1105,12 @@ mod tests {
     #[test]
     fn bundle_rejects_model_file_as_bundle() {
         let model = random_model(2, 64, 2);
-        // Container model artifact: the artifact byte rejects it.
+        // Same magic as a bundle: the artifact byte rejects it.
         let mut buf = Vec::new();
         write_model(&model, &mut buf).unwrap();
         assert!(matches!(
             read_bundle(buf.as_slice()),
             Err(LehdcError::ModelFormat(msg)) if msg.contains("not a bundle")
-        ));
-        // Legacy model file: the magic rejects it.
-        let mut buf = Vec::new();
-        write_model_legacy(&model, &mut buf).unwrap();
-        assert!(matches!(
-            read_bundle(buf.as_slice()),
-            Err(LehdcError::ModelFormat(msg)) if msg.contains("magic")
         ));
     }
 
@@ -1495,39 +1121,17 @@ mod tests {
         let hvs: Vec<BinaryHv> = (0..7).map(|_| BinaryHv::random(d, &mut rng)).collect();
         let labels: Vec<usize> = (0..7).map(|i| i % 3).collect();
         let encoded = crate::EncodedDataset::from_parts(hvs, labels, 3).unwrap();
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_encoded_with(&encoded, &mut buf, compression).unwrap();
-            let restored = read_encoded(buf.as_slice()).unwrap();
-            assert_eq!(restored.len(), encoded.len());
-            assert_eq!(restored.labels(), encoded.labels());
-            assert_eq!(restored.hvs(), encoded.hvs());
-            assert_eq!(restored.n_classes(), 3);
-            // corrupted inputs are rejected
-            assert!(read_encoded(&buf[..buf.len() - 1]).is_err());
-            let mut bad = buf.clone();
-            bad[0] = b'X';
-            assert!(read_encoded(bad.as_slice()).is_err());
-        }
-    }
-
-    #[test]
-    fn legacy_encoded_corpus_still_loads() {
-        let mut rng = rng_for(9, 9);
-        let d = Dim::new(130);
-        let hvs: Vec<BinaryHv> = (0..5).map(|_| BinaryHv::random(d, &mut rng)).collect();
-        let labels: Vec<usize> = (0..5).map(|i| i % 2).collect();
-        let encoded = crate::EncodedDataset::from_parts(hvs, labels, 2).unwrap();
         let mut buf = Vec::new();
-        write_encoded_legacy(&encoded, &mut buf).unwrap();
-        assert_eq!(&buf[..8], LEGACY_ENCODED_MAGIC);
+        write_encoded(&encoded, &mut buf).unwrap();
         let restored = read_encoded(buf.as_slice()).unwrap();
-        assert_eq!(restored.hvs(), encoded.hvs());
+        assert_eq!(restored.len(), encoded.len());
         assert_eq!(restored.labels(), encoded.labels());
-        // an out-of-range label is rejected by from_parts at load time
-        // (legacy layout: label u64 at offset 36)
+        assert_eq!(restored.hvs(), encoded.hvs());
+        assert_eq!(restored.n_classes(), 3);
+        // corrupted inputs are rejected
+        assert!(read_encoded(&buf[..buf.len() - 1]).is_err());
         let mut bad = buf.clone();
-        bad[36] = 9;
+        bad[0] = b'X';
         assert!(read_encoded(bad.as_slice()).is_err());
     }
 
@@ -1547,17 +1151,14 @@ mod tests {
         save_model(&model, &model_path).unwrap();
         let bundle_path = dir.join("b.lehdc");
         save_bundle(&bundle, &bundle_path).unwrap();
-        let legacy_bundle_path = dir.join("bl.lehdc");
-        save_bundle_legacy(&bundle, &legacy_bundle_path).unwrap();
         let enc_path = dir.join("e.lehdc");
         save_encoded(&encoded, &enc_path).unwrap();
 
         assert!(load_model(&model_path).is_ok());
         assert!(load_bundle(&bundle_path).is_ok());
-        assert!(load_bundle(&legacy_bundle_path).is_ok());
         assert!(load_encoded(&enc_path).is_ok());
 
-        for path in [&model_path, &bundle_path, &legacy_bundle_path, &enc_path] {
+        for path in [&model_path, &bundle_path, &enc_path] {
             let mut bytes = std::fs::read(path).unwrap();
             bytes.extend_from_slice(b"junk");
             std::fs::write(path, &bytes).unwrap();
@@ -1565,7 +1166,6 @@ mod tests {
         for (result, path) in [
             (load_model(&model_path).map(|_| ()), &model_path),
             (load_bundle(&bundle_path).map(|_| ()), &bundle_path),
-            (load_bundle(&legacy_bundle_path).map(|_| ()), &legacy_bundle_path),
             (load_encoded(&enc_path).map(|_| ()), &enc_path),
         ] {
             let err = result.unwrap_err().to_string();
@@ -1579,22 +1179,19 @@ mod tests {
     }
 
     #[test]
-    fn describe_file_names_every_format() {
+    fn describe_file_reads_the_container_header() {
         let dir = std::env::temp_dir().join("lehdc_describe_io_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let bundle = test_bundle(None);
         let container = dir.join("c.lehdc");
-        save_bundle(&bundle, &container).unwrap();
+        save_model(&random_model(2, 64, 1), &container).unwrap();
         assert_eq!(
             describe_file(&container).unwrap(),
-            "LHDC container v1, bundle artifact, packed sections"
+            "LHDC container v1, model artifact, stored sections"
         );
-        let legacy = dir.join("l.lehdc");
-        save_bundle_legacy(&bundle, &legacy).unwrap();
-        assert_eq!(describe_file(&legacy).unwrap(), "legacy LEHDCBDL bundle");
         let junk = dir.join("junk.bin");
-        std::fs::write(&junk, b"not a model").unwrap();
-        assert!(describe_file(&junk).is_err());
+        std::fs::write(&junk, [&b"LEHDCBDL"[..], &[0; 64]].concat()).unwrap();
+        let err = describe_file(&junk).unwrap_err().to_string();
+        assert!(err.contains("junk.bin") && err.contains("magic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,17 +1,15 @@
 //! Regression suite for bundle loading: a truncated, corrupted, or padded
 //! bundle must come back as a typed [`LehdcError`] with path context —
 //! never a panic — through the one `load_bundle` code path the CLI and
-//! the serving daemon share. Both the `LHDC` container format and the
-//! legacy `LEHDCBDL` format go through the same sweep.
+//! the serving daemon share.
 
 use std::path::Path;
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
-use lehdc::io::{
-    load_bundle, save_bundle, write_bundle, write_bundle_legacy, ModelBundle,
-};
+use lehdc::format::{meta_f32, write_container, write_varint, Artifact, MetaWriter, STRIDE_BYTES};
+use lehdc::io::{load_bundle, load_model, read_model, save_bundle, write_bundle, ModelBundle};
 use lehdc::{HdcModel, LehdcError};
 
 fn test_bundle() -> ModelBundle {
@@ -39,9 +37,38 @@ fn bundle_bytes(bundle: &ModelBundle) -> Vec<u8> {
     buf
 }
 
-fn legacy_bundle_bytes(bundle: &ModelBundle) -> Vec<u8> {
+/// Writes a distilled bundle container by hand (two all-zero classes over
+/// the kept `selection` dims), so tests can declare encoder shapes no
+/// writer would produce.
+fn crafted_bundle(encoder_dim: u64, features: u64, levels: u64, selection: &[u64]) -> Vec<u8> {
+    let mut meta = MetaWriter::new();
+    meta.u64("dim", selection.len() as u64)
+        .u64("classes", 2)
+        .u64("encoder_dim", encoder_dim)
+        .u64("features", features)
+        .u64("levels", levels)
+        .u64("seed", 1);
+    meta_f32(&mut meta, "vmin", 0.0);
+    meta_f32(&mut meta, "vmax", 1.0);
+    meta.bool("normalizer", false).bool("distilled", true);
+    let mut aux = Vec::new();
+    write_varint(&mut aux, selection.len() as u64);
+    let mut prev = 0;
+    for (i, &d) in selection.iter().enumerate() {
+        write_varint(&mut aux, if i == 0 { d } else { d - prev });
+        prev = d;
+    }
+    let words = vec![0u64; 2 * Dim::new(selection.len()).words()];
     let mut buf = Vec::new();
-    write_bundle_legacy(bundle, &mut buf).unwrap();
+    write_container(
+        &mut buf,
+        Artifact::Bundle,
+        &meta.finish(),
+        &aux,
+        STRIDE_BYTES,
+        &[&words],
+    )
+    .unwrap();
     buf
 }
 
@@ -83,70 +110,104 @@ fn missing_file_names_the_path() {
 #[test]
 fn truncation_at_every_prefix_is_a_typed_error() {
     // Cutting the bundle anywhere — header, metadata, aux sections, packed
-    // payload — must yield a typed error that names the file, for BOTH
-    // on-disk formats. This is the "no panic on truncated bundles" contract.
-    for (tag, bytes) in [
-        ("container", bundle_bytes(&test_bundle())),
-        ("legacy", legacy_bundle_bytes(&test_bundle())),
-    ] {
-        // Dense sweep over the header region, sparse over the payload.
-        let cuts: Vec<usize> = (0..64.min(bytes.len()))
-            .chain((64..bytes.len()).step_by(97))
-            .collect();
-        for cut in cuts {
-            let path = write_temp("truncated.lehdc", &bytes[..cut]);
-            match load_bundle(&path) {
+    // payload — must yield a typed error that names the file. This is the
+    // "no panic on truncated bundles" contract.
+    let bytes = bundle_bytes(&test_bundle());
+    // Dense sweep over the header region, sparse over the payload.
+    let cuts: Vec<usize> = (0..64.min(bytes.len()))
+        .chain((64..bytes.len()).step_by(97))
+        .collect();
+    for cut in cuts {
+        let path = write_temp("truncated.lehdc", &bytes[..cut]);
+        match load_bundle(&path) {
+            Err(LehdcError::ModelFormat(msg)) => {
+                assert!(msg.contains("truncated.lehdc"), "cut={cut}: {msg}")
+            }
+            Err(other) => panic!("cut={cut}: expected ModelFormat, got {other:?}"),
+            Ok(_) => panic!("cut={cut}: truncated bundle must not load"),
+        }
+    }
+}
+
+#[test]
+fn header_lengths_beyond_the_file_are_truncation_not_allocation() {
+    // A 64-byte file whose header declares a 64 GiB payload (under the
+    // planes cap) must fail as truncated, not size a buffer from the header.
+    for artifact in [Artifact::Model, Artifact::Bundle] {
+        let mut bytes = Vec::new();
+        write_container(&mut bytes, artifact, "{}", &[], STRIDE_BYTES, &[]).unwrap();
+        assert_eq!(bytes.len(), 64);
+        bytes[24..32].copy_from_slice(&(1u64 << 36).to_le_bytes());
+        assert!(matches!(
+            read_model(bytes.as_slice()),
+            Err(LehdcError::ModelFormat(msg)) if msg.contains("truncated")
+        ));
+        let path = write_temp("huge_planes.lehdc", &bytes);
+        for result in [
+            load_model(&path).map(|_| ()),
+            load_bundle(&path).map(|_| ()),
+        ] {
+            match result {
                 Err(LehdcError::ModelFormat(msg)) => {
-                    assert!(msg.contains("truncated.lehdc"), "{tag} cut={cut}: {msg}")
+                    assert!(msg.contains("truncated"), "{msg}");
+                    assert!(msg.contains("huge_planes.lehdc"), "{msg}");
                 }
-                Err(other) => {
-                    panic!("{tag} cut={cut}: expected ModelFormat, got {other:?}")
-                }
-                Ok(_) => panic!("{tag} cut={cut}: truncated bundle must not load"),
+                other => panic!("expected a truncation error, got {other:?}"),
             }
         }
     }
 }
 
 #[test]
-fn trailing_garbage_is_rejected_in_both_formats() {
-    for (tag, mut bytes) in [
-        ("container", bundle_bytes(&test_bundle())),
-        ("legacy", legacy_bundle_bytes(&test_bundle())),
-    ] {
-        bytes.extend_from_slice(b"junk");
-        let path = write_temp("trailing.lehdc", &bytes);
-        match load_bundle(&path) {
-            Err(LehdcError::ModelFormat(msg)) => {
-                assert!(msg.contains("trailing"), "{tag}: {msg}")
-            }
-            other => panic!("{tag}: expected trailing-bytes error, got {other:?}"),
-        }
+fn trailing_garbage_is_rejected() {
+    let mut bytes = bundle_bytes(&test_bundle());
+    bytes.extend_from_slice(b"junk");
+    let path = write_temp("trailing.lehdc", &bytes);
+    match load_bundle(&path) {
+        Err(LehdcError::ModelFormat(msg)) => assert!(msg.contains("trailing"), "{msg}"),
+        other => panic!("expected trailing-bytes error, got {other:?}"),
     }
 }
 
 #[test]
 fn corrupted_level_count_is_rejected_before_codebook_work() {
-    // The legacy layout has n_levels at a fixed offset; flipping it to an
-    // absurd value must be caught by validation, not by a panic (or an
-    // attempted multi-terabyte allocation) inside item-memory construction.
-    let mut bytes = legacy_bundle_bytes(&test_bundle());
-    // n_levels lives after magic(8) + version(4) + dim(8) + n_features(8).
-    let off = 8 + 4 + 8 + 8;
-    bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    let path = write_temp("badlevels.lehdc", &bytes);
+    // The hand-written container itself is valid.
+    let sel: Vec<u64> = (0..64).collect();
+    let path = write_temp("crafted.lehdc", &crafted_bundle(256, 6, 8, &sel));
+    assert_eq!(load_bundle(&path).unwrap().model.dim().get(), 64);
+    // An absurd level count must be caught by validation, not by a panic
+    // (or an attempted multi-terabyte allocation) inside item-memory
+    // construction.
+    let path = write_temp("badlevels.lehdc", &crafted_bundle(256, 6, u64::MAX, &sel));
     match load_bundle(&path) {
         Err(LehdcError::ModelFormat(msg)) => assert!(msg.contains("level"), "{msg}"),
         other => panic!("expected level-count error, got {other:?}"),
     }
     // L=1 (too coarse to quantize) must also be caught by validation.
-    let mut bytes = legacy_bundle_bytes(&test_bundle());
-    bytes[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
-    let path = write_temp("onelevel.lehdc", &bytes);
+    let path = write_temp("onelevel.lehdc", &crafted_bundle(256, 6, 1, &sel));
     assert!(matches!(
         load_bundle(&path),
         Err(LehdcError::ModelFormat(_))
     ));
+}
+
+#[test]
+fn oversized_encoder_is_rejected_before_regeneration() {
+    // A distilled bundle only carries `dim` bits per class, so a file of a
+    // few hundred bytes can declare a 10^9-dim encoder over 10^8 features.
+    // Regenerating that item memory would never finish; the loader must
+    // refuse the shape first.
+    let sel: Vec<u64> = (0..64).map(|i| i * 1_000_000).collect();
+    let bytes = crafted_bundle(1_000_000_000, 100_000_000, 2, &sel);
+    assert!(bytes.len() < 1024, "{} bytes", bytes.len());
+    let path = write_temp("huge_encoder.lehdc", &bytes);
+    match load_bundle(&path) {
+        Err(LehdcError::ModelFormat(msg)) => {
+            assert!(msg.contains("item memory"), "{msg}");
+            assert!(msg.contains("huge_encoder.lehdc"), "{msg}");
+        }
+        other => panic!("expected an item-memory limit error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -164,14 +225,15 @@ fn model_file_passed_as_bundle_is_a_typed_error() {
         }
         other => panic!("expected artifact-mismatch error, got {other:?}"),
     }
-    // Legacy model: distinct 8-byte magic, rejected at the magic check.
-    let mut bytes = Vec::new();
-    lehdc::io::write_model_legacy(&bundle.model, &mut bytes).unwrap();
-    let path = write_temp("notabundle_legacy.lehdc", &bytes);
+    // A file in the retired `LEHDCBDL` layout: rejected at the magic check.
+    let mut bytes = b"LEHDCBDL".to_vec();
+    bytes.extend_from_slice(&[1, 0, 0, 0]);
+    bytes.extend_from_slice(&[0; 64]);
+    let path = write_temp("retired_magic.lehdc", &bytes);
     match load_bundle(&path) {
         Err(LehdcError::ModelFormat(msg)) => {
             assert!(msg.contains("magic"), "{msg}");
-            assert!(msg.contains("notabundle_legacy.lehdc"), "{msg}");
+            assert!(msg.contains("retired_magic.lehdc"), "{msg}");
         }
         other => panic!("expected bad-magic error, got {other:?}"),
     }

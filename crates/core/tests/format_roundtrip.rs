@@ -1,18 +1,15 @@
 //! Property suite for the `LHDC` container format: random shapes and
-//! metadata lengths must round-trip bit-identically through both
-//! compression modes, distilled or not, and legacy files must keep loading
-//! through the same magic-dispatched entry points. Shrinking is handled by
+//! metadata lengths must round-trip bit-identically, distilled or not,
+//! whichever section encoding the writer picks. Shrinking is handled by
 //! the testkit harness, so a failure minimizes to the smallest offending
 //! shape automatically.
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
-use lehdc::format::{pack, unpack, Compression};
+use lehdc::format::{pack, unpack};
 use lehdc::io::{
-    read_bundle, read_encoded, read_model, write_bundle_legacy, write_bundle_with,
-    write_encoded_legacy, write_encoded_with, write_model_legacy, write_model_with,
-    ModelBundle,
+    read_bundle, read_encoded, read_model, write_bundle, write_encoded, write_model, ModelBundle,
 };
 use lehdc::{EncodedDataset, HdcModel};
 use testkit::prelude::*;
@@ -73,24 +70,22 @@ fn random_rows(bundle: &ModelBundle, n: usize, seed: u64) -> Vec<Vec<f32>> {
 
 proptest! {
     /// save → load → save is bit-identical at the byte level AND at the
-    /// prediction level, for both compression bytes.
+    /// prediction level.
     #[test]
     fn bundle_roundtrips_bit_identically(pair in arb_bundle()) {
         let (bundle, seed) = pair;
         let rows = random_rows(&bundle, 8, seed);
         let want: Vec<usize> = rows.iter().map(|r| bundle.classify(r).unwrap()).collect();
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut first = Vec::new();
-            write_bundle_with(&bundle, &mut first, compression).unwrap();
-            let loaded = read_bundle(first.as_slice()).unwrap();
-            let got: Vec<usize> = rows.iter().map(|r| loaded.classify(r).unwrap()).collect();
-            prop_assert_eq!(&got, &want, "{} predictions drifted", compression.name());
-            // A second save of the loaded bundle reproduces the same bytes:
-            // nothing (seed, normalizer f32s, word planes) is lossy.
-            let mut second = Vec::new();
-            write_bundle_with(&loaded, &mut second, compression).unwrap();
-            prop_assert_eq!(&first, &second, "{} bytes drifted", compression.name());
-        }
+        let mut first = Vec::new();
+        write_bundle(&bundle, &mut first).unwrap();
+        let loaded = read_bundle(first.as_slice()).unwrap();
+        let got: Vec<usize> = rows.iter().map(|r| loaded.classify(r).unwrap()).collect();
+        prop_assert_eq!(&got, &want, "predictions drifted");
+        // A second save of the loaded bundle reproduces the same bytes:
+        // nothing (seed, normalizer f32s, word planes) is lossy.
+        let mut second = Vec::new();
+        write_bundle(&loaded, &mut second).unwrap();
+        prop_assert_eq!(&first, &second, "bytes drifted");
     }
 
     /// Distillation survives persistence: a distilled bundle's predictions
@@ -103,54 +98,28 @@ proptest! {
         let rows = random_rows(&bundle, 8, seed);
         let want: Vec<usize> =
             rows.iter().map(|r| distilled.classify(r).unwrap()).collect();
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&distilled, &mut buf, compression).unwrap();
-            let loaded = read_bundle(buf.as_slice()).unwrap();
-            prop_assert_eq!(loaded.selection.as_ref(), distilled.selection.as_ref());
-            let got: Vec<usize> =
-                rows.iter().map(|r| loaded.classify(r).unwrap()).collect();
-            prop_assert_eq!(&got, &want);
-        }
-    }
-
-    /// Legacy writers produce files the dispatching readers still load,
-    /// with identical predictions — old artifacts never go dark.
-    #[test]
-    fn legacy_files_dispatch_and_match(pair in arb_bundle()) {
-        let (bundle, seed) = pair;
-        let rows = random_rows(&bundle, 4, seed);
-        let want: Vec<usize> = rows.iter().map(|r| bundle.classify(r).unwrap()).collect();
         let mut buf = Vec::new();
-        write_bundle_legacy(&bundle, &mut buf).unwrap();
+        write_bundle(&distilled, &mut buf).unwrap();
         let loaded = read_bundle(buf.as_slice()).unwrap();
+        prop_assert_eq!(loaded.selection.as_ref(), distilled.selection.as_ref());
         let got: Vec<usize> = rows.iter().map(|r| loaded.classify(r).unwrap()).collect();
-        prop_assert_eq!(got, want);
-
-        let mut buf = Vec::new();
-        write_model_legacy(&bundle.model, &mut buf).unwrap();
-        prop_assert_eq!(&read_model(buf.as_slice()).unwrap(), &bundle.model);
+        prop_assert_eq!(&got, &want);
     }
 
-    /// Truncating a container-format model or bundle anywhere is a typed
-    /// error or (cut == 0) a faithful reload — never a panic.
+    /// Truncating a model or bundle anywhere is a typed error or
+    /// (cut == 0) a faithful reload — never a panic.
     #[test]
-    fn truncation_never_panics(
-        pair in arb_bundle(),
-        packed in any::<bool>(),
-        cut in 0usize..256,
-    ) {
+    fn truncation_never_panics(pair in arb_bundle(), cut in 0usize..256) {
         let (bundle, _) = pair;
-        let compression = if packed { Compression::Packed } else { Compression::Stored };
         let mut buf = Vec::new();
-        write_bundle_with(&bundle, &mut buf, compression).unwrap();
+        write_bundle(&bundle, &mut buf).unwrap();
         let cut = cut.min(buf.len());
         if let Ok(b) = read_bundle(&buf[..buf.len() - cut]) {
             prop_assert_eq!(cut, 0);
             prop_assert_eq!(b.model, bundle.model);
         }
         let mut buf = Vec::new();
-        write_model_with(&bundle.model, &mut buf, compression).unwrap();
+        write_model(&bundle.model, &mut buf).unwrap();
         let cut = cut.min(buf.len());
         if let Ok(m) = read_model(&buf[..buf.len() - cut]) {
             prop_assert_eq!(cut, 0);
@@ -158,8 +127,7 @@ proptest! {
         }
     }
 
-    /// Encoded corpora round-trip through both compressions and the legacy
-    /// writer, hypervectors and labels bit-for-bit.
+    /// Encoded corpora round-trip, hypervectors and labels bit-for-bit.
     #[test]
     fn encoded_corpus_roundtrips(n in 1usize..10, d in 65usize..200, seed in any::<u64>()) {
         let dim = Dim::new(d);
@@ -167,19 +135,12 @@ proptest! {
         let hvs: Vec<BinaryHv> = (0..n).map(|_| BinaryHv::random(dim, &mut rng)).collect();
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
         let corpus = EncodedDataset::from_parts(hvs, labels, 3).unwrap();
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_encoded_with(&corpus, &mut buf, compression).unwrap();
-            let back = read_encoded(buf.as_slice()).unwrap();
-            prop_assert_eq!(back.hvs(), corpus.hvs());
-            prop_assert_eq!(back.labels(), corpus.labels());
-            prop_assert_eq!(back.n_classes(), corpus.n_classes());
-        }
         let mut buf = Vec::new();
-        write_encoded_legacy(&corpus, &mut buf).unwrap();
+        write_encoded(&corpus, &mut buf).unwrap();
         let back = read_encoded(buf.as_slice()).unwrap();
         prop_assert_eq!(back.hvs(), corpus.hvs());
         prop_assert_eq!(back.labels(), corpus.labels());
+        prop_assert_eq!(back.n_classes(), corpus.n_classes());
     }
 
     /// The section codec is total: arbitrary byte strings survive

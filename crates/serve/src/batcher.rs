@@ -171,7 +171,6 @@ impl Collector {
                 }
                 self.rec.add("serve/requests_total", n as u64);
                 self.rec.add("serve/batches_total", 1);
-                self.rec.add(&format!("serve/epoch/{}/requests", snap.epoch), n as u64);
                 self.rec.gauge("serve/epoch", snap.epoch as f64);
                 self.rec.gauge("serve/last_batch_size", n as f64);
                 self.rec.observe_since("serve/batch_ns", &batch_timer);

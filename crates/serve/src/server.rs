@@ -81,6 +81,8 @@ struct Shared {
     /// connection ends — otherwise the clone would hold the socket open
     /// past the client's close.
     streams: Mutex<Vec<(u64, TcpStream)>>,
+    /// Handles of connection threads not yet reaped: finished ones are
+    /// joined on each accept, the rest at shutdown.
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
     active_conns: AtomicU64,
     next_conn_id: AtomicU64,
@@ -245,7 +247,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 shared_conn.rec.gauge("serve/connections_active", remaining as f64);
             })
             .expect("spawning a connection thread");
-        shared.conn_handles.lock().unwrap().push(handle);
+        let mut handles = shared.conn_handles.lock().unwrap();
+        for finished in handles.extract_if(.., |h| h.is_finished()) {
+            let _ = finished.join();
+        }
+        handles.push(handle);
     }
 }
 
@@ -278,17 +284,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         .spawn(move || writer_loop(write_half, &rx, binary))
         .expect("spawning a connection writer thread");
 
-    let requests = if binary {
-        binary_reader_loop(shared, BufReader::new(read_half), &tx)
+    if binary {
+        binary_reader_loop(shared, BufReader::new(read_half), &tx);
     } else {
         let reader = BufReader::new(preamble.as_slice().chain(read_half));
-        line_reader_loop(shared, reader, &tx)
-    };
+        line_reader_loop(shared, reader, &tx);
+    }
     drop(tx); // writer drains, flushes, and exits
     let _ = writer_handle.join();
-    if shared.rec.enabled() {
-        shared.rec.add(&format!("serve/conn/{conn_id}/requests"), requests);
-    }
 }
 
 fn writer_loop(stream: TcpStream, rx: &Receiver<Pending>, binary: bool) {
@@ -390,13 +393,8 @@ fn handle_request(shared: &Arc<Shared>, req: Request, tx: &Sender<Pending>) -> b
     true
 }
 
-fn binary_reader_loop<R: Read>(
-    shared: &Arc<Shared>,
-    mut reader: R,
-    tx: &Sender<Pending>,
-) -> u64 {
+fn binary_reader_loop<R: Read>(shared: &Arc<Shared>, mut reader: R, tx: &Sender<Pending>) {
     let mut payload = Vec::new();
-    let mut requests = 0u64;
     loop {
         match read_frame(&mut reader, &mut payload) {
             Ok(true) => {}
@@ -411,7 +409,6 @@ fn binary_reader_loop<R: Read>(
                 break;
             }
         }
-        requests += 1;
         match decode_request(&payload) {
             Ok(req) => {
                 if !handle_request(shared, req, tx) {
@@ -425,16 +422,10 @@ fn binary_reader_loop<R: Read>(
             }
         }
     }
-    requests
 }
 
-fn line_reader_loop<R: BufRead>(
-    shared: &Arc<Shared>,
-    mut reader: R,
-    tx: &Sender<Pending>,
-) -> u64 {
+fn line_reader_loop<R: BufRead>(shared: &Arc<Shared>, mut reader: R, tx: &Sender<Pending>) {
     let mut line = String::new();
-    let mut requests = 0u64;
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -444,7 +435,6 @@ fn line_reader_loop<R: BufRead>(
         if line.trim().is_empty() {
             continue;
         }
-        requests += 1;
         match parse_line(&line) {
             Ok(req) => {
                 if !handle_request(shared, req, tx) {
@@ -456,5 +446,81 @@ fn line_reader_loop<R: BufRead>(
             }
         }
     }
-    requests
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use hdc::rng::rng_for;
+    use hdc::{BinaryHv, Dim, RecordEncoder};
+    use lehdc::io::save_bundle;
+    use lehdc::HdcModel;
+
+    fn bundle(seed: u64) -> ModelBundle {
+        let dim = Dim::new(128);
+        let mut rng = rng_for(seed, 0);
+        ModelBundle {
+            model: HdcModel::new((0..3).map(|_| BinaryHv::random(dim, &mut rng)).collect())
+                .unwrap(),
+            encoder: RecordEncoder::builder(dim, 4)
+                .levels(4)
+                .seed(seed)
+                .build()
+                .unwrap(),
+            normalizer: None,
+            selection: None,
+        }
+    }
+
+    #[test]
+    fn bookkeeping_stays_bounded_under_connection_and_swap_churn() {
+        let dir = std::env::temp_dir().join("lehdc_serve_churn_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("next.lehdc");
+        save_bundle(&bundle(2), &path).unwrap();
+        let path = path.to_str().unwrap();
+
+        let rec = Recorder::builder().build();
+        let server = Server::start(bundle(1), "127.0.0.1:0", &ServeConfig::default(), rec).unwrap();
+        let addr = server.local_addr();
+        let row = [0.1, 0.2, 0.3, 0.4];
+        let cycle = |swap: bool| {
+            let mut client = Client::connect(addr).unwrap();
+            client.classify(&row).unwrap();
+            if swap {
+                client.swap(path).unwrap();
+                client.classify(&row).unwrap();
+            }
+        };
+
+        // One cycle with a swap registers every metric name the churn uses.
+        cycle(true);
+        let names = server.shared.rec.metrics().len();
+        for i in 0..200 {
+            cycle(i % 10 == 0);
+        }
+        assert_eq!(
+            server.shared.rec.metrics().len(),
+            names,
+            "200 connections and 20 swaps must not add metric names"
+        );
+
+        // Once the closed connections have wound down, the next accept
+        // reaps their handles: only the live connection's may remain, plus
+        // at most one straggler still returning from its thread.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.shared.active_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut live = Client::connect(addr).unwrap();
+        live.ping().unwrap();
+        let retained = server.shared.conn_handles.lock().unwrap().len();
+        assert!(retained <= 2, "{retained} connection handles retained");
+
+        drop(live);
+        server.shutdown();
+        server.join();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -281,25 +281,18 @@ fn non_finite_features_are_rejected_in_both_protocol_modes() {
 }
 
 #[test]
-fn swap_across_formats_and_distillation_is_bit_identical() {
+fn swap_to_saved_and_distilled_bundles_is_bit_identical() {
     // The deployment story end-to-end: the daemon starts on one bundle,
-    // swaps to (a) the same bundle re-encoded in the legacy format, then
-    // (b) a container-format copy, then (c) a distilled sub-D model —
-    // and every answer matches the corresponding serial classification.
-    use lehdc::format::Compression;
-    use lehdc::io::{save_bundle_legacy, save_bundle_with};
-
+    // swaps to (a) a saved copy of that bundle, then (b) a distilled sub-D
+    // model — and every answer matches the corresponding serial
+    // classification.
     let dir = std::env::temp_dir().join("lehdc_serve_format_swap_test");
     std::fs::create_dir_all(&dir).unwrap();
     let bundle = test_bundle(5);
     let distilled = bundle.distill(64).unwrap();
 
-    let legacy_path = dir.join("legacy.lehdc");
-    save_bundle_legacy(&bundle, &legacy_path).unwrap();
-    let stored_path = dir.join("stored.lehdc");
-    save_bundle_with(&bundle, &stored_path, Compression::Stored).unwrap();
-    let packed_path = dir.join("packed.lehdc");
-    save_bundle_with(&bundle, &packed_path, Compression::Packed).unwrap();
+    let saved_path = dir.join("saved.lehdc");
+    save_bundle(&bundle, &saved_path).unwrap();
     let distilled_path = dir.join("distilled.lehdc");
     save_bundle(&distilled, &distilled_path).unwrap();
 
@@ -308,20 +301,18 @@ fn swap_across_formats_and_distillation_is_bit_identical() {
     let rows = random_rows(32, 11);
     let mut client = Client::connect(addr).unwrap();
 
-    // Full-width swaps: every format encodes the same model, so answers
-    // must be bit-identical to the original bundle across all of them.
-    for (i, path) in [&legacy_path, &stored_path, &packed_path].iter().enumerate() {
-        let epoch = client.swap(path.to_str().unwrap()).unwrap();
-        assert_eq!(epoch, i as u64 + 1);
-        for row in &rows {
-            let (class, got_epoch) = client.classify(row).unwrap();
-            assert_eq!(got_epoch, epoch);
-            assert_eq!(
-                class,
-                bundle.classify(row).unwrap() as u32,
-                "format swap {i} diverged from serial"
-            );
-        }
+    // Full-width swap: the saved copy encodes the same model, so answers
+    // must be bit-identical to the original bundle.
+    let epoch = client.swap(saved_path.to_str().unwrap()).unwrap();
+    assert_eq!(epoch, 1);
+    for row in &rows {
+        let (class, got_epoch) = client.classify(row).unwrap();
+        assert_eq!(got_epoch, epoch);
+        assert_eq!(
+            class,
+            bundle.classify(row).unwrap() as u32,
+            "swap to the saved bundle diverged from serial"
+        );
     }
 
     // Distilled swap: D drops 256 -> 64 but the serial distilled bundle is

@@ -11,7 +11,6 @@
 //! lehdc_cli predict --model model.lehdc --data features.csv
 //!                   [--threads 1] [--verbose] [--metrics-out run.jsonl]
 //! lehdc_cli distill --model model.lehdc --out small.lehdc --dim 2000
-//! lehdc_cli convert --model model.lehdc --out legacy.lehdc --format legacy
 //! lehdc_cli info    --model model.lehdc
 //! ```
 //!
@@ -21,9 +20,9 @@
 //! at save time: it trains an ensemble with no single-model artifact.
 //! `predict` reads label-free CSV rows (features only) and prints one
 //! predicted class per line. `distill` shrinks a trained bundle to `--dim`
-//! dimensions by class-margin contribution (train big, deploy small);
-//! `convert` rewrites an artifact between the `LHDC` container and the
-//! legacy format, or between compression modes.
+//! dimensions by class-margin contribution (train big, deploy small).
+//! Every artifact is an `LHDC` container; `info` prints its header summary
+//! and the bundle's shape.
 //!
 //! `--verbose` echoes per-epoch timing and throughput to stderr;
 //! `--metrics-out <path>` additionally writes every observability event as
@@ -37,10 +36,7 @@ use std::process::ExitCode;
 use lehdc_suite::datasets::loader::csv::{load_csv, LabelColumn};
 use lehdc_suite::datasets::TrainTest;
 use lehdc_suite::hdc::{Dim, Encode};
-use lehdc_suite::lehdc::format::Compression;
-use lehdc_suite::lehdc::io::{
-    describe_file, load_bundle, save_bundle, save_bundle_legacy, save_bundle_with, ModelBundle,
-};
+use lehdc_suite::lehdc::io::{describe_file, load_bundle, save_bundle, ModelBundle};
 use lehdc_suite::lehdc::{AdaptiveConfig, LehdcConfig, Pipeline, RetrainConfig, Strategy};
 use lehdc_suite::{obs, threadpool};
 
@@ -51,7 +47,6 @@ fn main() -> ExitCode {
         Some("eval") => cmd_eval(&args[1..]),
         Some("predict") => cmd_predict(&args[1..]),
         Some("distill") => cmd_distill(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("--help" | "-h") | None => {
             eprintln!("{USAGE}");
@@ -68,7 +63,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: lehdc_cli <train|eval|predict|distill|convert|info> [options]
+const USAGE: &str = "usage: lehdc_cli <train|eval|predict|distill|info> [options]
   train   --data <csv> --out <file>
           [--strategy lehdc|baseline|retraining|enhanced|adaptive|multimodel]
           [--dim D] [--levels Q] [--epochs N] [--seed S] [--label-col first|last]
@@ -78,8 +73,6 @@ const USAGE: &str = "usage: lehdc_cli <train|eval|predict|distill|convert|info> 
   predict --model <file> --data <csv-of-features> [--threads T]
           [--verbose] [--metrics-out <jsonl>]
   distill --model <file> --out <file> --dim D
-  convert --model <file> --out <file> [--format container|legacy]
-          [--compression packed|stored]
   info    --model <file>";
 
 /// Parses `--key value` pairs (and bare `--flag` booleans), rejecting any
@@ -451,44 +444,6 @@ fn cmd_distill(args: &[String]) -> Result<(), String> {
         distilled.model.dim(),
         bytes,
         out_path.display()
-    );
-    Ok(())
-}
-
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["model", "out", "format", "compression"], &[])?;
-    let out_path = PathBuf::from(required(&flags, "out")?);
-    let bundle = load_bundle(&PathBuf::from(required(&flags, "model")?))
-        .map_err(|e| e.to_string())?;
-    match flags.get("format").map(String::as_str) {
-        Some("legacy") => {
-            if flags.contains_key("compression") {
-                return Err("--compression applies only to the container format".into());
-            }
-            save_bundle_legacy(&bundle, &out_path).map_err(|e| e.to_string())?;
-        }
-        None | Some("container") => {
-            let compression = match flags.get("compression").map(String::as_str) {
-                None | Some("packed") => Compression::Packed,
-                Some("stored") => Compression::Stored,
-                Some(other) => {
-                    return Err(format!(
-                        "--compression must be packed or stored, got {other:?}"
-                    ))
-                }
-            };
-            save_bundle_with(&bundle, &out_path, compression).map_err(|e| e.to_string())?;
-        }
-        Some(other) => {
-            return Err(format!(
-                "--format must be container or legacy, got {other:?}"
-            ))
-        }
-    }
-    println!(
-        "converted to {} ({})",
-        out_path.display(),
-        describe_file(&out_path).map_err(|e| e.to_string())?
     );
     Ok(())
 }
