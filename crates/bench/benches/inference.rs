@@ -6,9 +6,9 @@
 //! identical; the multi-model strategy pays `n×` that cost.
 
 use testkit::bench::{Bench, BenchmarkId};
-use lehdc::baseline::train_baseline;
+use lehdc::baseline::train_baseline_threaded;
 use lehdc::lehdc_trainer::train_lehdc;
-use lehdc::multimodel::{train_multimodel, MultiModelConfig};
+use lehdc::multimodel::{train_multimodel_recorded, MultiModelConfig};
 use lehdc::LehdcConfig;
 use lehdc_bench::bench_encoded;
 use std::hint::black_box;
@@ -18,7 +18,7 @@ fn bench_classify_baseline_vs_lehdc(c: &mut Bench) {
     for &d in &[1024usize, 4096, 10_000] {
         let encoded = bench_encoded(d);
         let query = encoded.hvs()[0].clone();
-        let baseline = train_baseline(&encoded, 0).unwrap();
+        let baseline = train_baseline_threaded(&encoded, 0, 1).unwrap();
         let cfg = LehdcConfig::quick().with_epochs(3);
         let (learned, _) = train_lehdc(&encoded, None, &cfg).unwrap();
         group.bench_with_input(
@@ -44,7 +44,8 @@ fn bench_classify_multimodel(c: &mut Bench) {
             flip_rate: 0.2,
             seed: 1,
         };
-        let (mm, _) = train_multimodel(&encoded, None, &cfg).unwrap();
+        let off = obs::Recorder::disabled();
+        let (mm, _) = train_multimodel_recorded(&encoded, None, &cfg, 1, &off).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
             bencher.iter(|| black_box(mm.classify(black_box(&query))))
         });

@@ -445,7 +445,7 @@ fn bench_retrain_epoch(c: &mut Bench) {
     let d = 10_000usize;
     let (classes, samples) = (10usize, 2048usize);
     let train = epoch_corpus(d, classes, samples);
-    let nonbinary: Vec<RealHv> = lehdc::baseline::accumulate_class_sums(&train).unwrap();
+    let nonbinary: Vec<RealHv> = lehdc::baseline::accumulate_class_sums_pooled(&train, 1).unwrap();
     let model =
         lehdc::HdcModel::new(nonbinary.iter().map(RealHv::sign).collect::<Vec<_>>()).unwrap();
     let alpha = 0.05f32;
@@ -513,7 +513,7 @@ fn bench_enhanced_epoch(c: &mut Bench) {
     let d = 10_000usize;
     let (classes, samples) = (10usize, 1024usize);
     let train = epoch_corpus(d, classes, samples);
-    let nonbinary = lehdc::baseline::accumulate_class_sums(&train).unwrap();
+    let nonbinary = lehdc::baseline::accumulate_class_sums_pooled(&train, 1).unwrap();
     let model = lehdc::HdcModel::new(nonbinary.iter().map(hdc::RealHv::sign).collect::<Vec<_>>())
         .unwrap();
 
@@ -555,7 +555,9 @@ fn bench_multimodel_classify(c: &mut Bench) {
         iterations: 1,
         ..lehdc::MultiModelConfig::quick()
     };
-    let (mm, _) = lehdc::multimodel::train_multimodel(&train, None, &cfg).unwrap();
+    let off = obs::Recorder::disabled();
+    let (mm, _) =
+        lehdc::multimodel::train_multimodel_recorded(&train, None, &cfg, 1, &off).unwrap();
     let queries = train.hvs();
 
     group.throughput(Throughput::Elements(queries.len() as u64));

@@ -15,13 +15,11 @@
 
 use hdc::RealHv;
 
-use crate::baseline::accumulate_class_sums_pooled;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, EpochEngine, StrategySpans};
+use crate::engine::{predicted_class, retrain_loop, EpochEngine, UpdateRule};
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::model::HdcModel;
-use crate::retrain::binarize;
 
 /// Configuration of adaptive retraining.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +77,10 @@ impl AdaptiveConfig {
     }
 }
 
-/// Trains with adaptive-rate retraining.
+/// Trains with adaptive-rate retraining, fanned out over `threads` pool
+/// workers, with per-iteration classify/update/binarize/eval spans recorded
+/// into `rec` (and into [`EpochRecord::timing`](crate::EpochRecord::timing))
+/// when it is enabled.
 ///
 /// The per-sample gap-scaled updates stay sequential, but each iteration's
 /// similarity matrix against the frozen model comes from one batched
@@ -87,22 +88,6 @@ impl AdaptiveConfig {
 /// the per-sample loop). The predicted class breaks ties toward the
 /// **lowest** index, matching `model.classify` and every argmax kernel
 /// (the historical `Iterator::max_by_key` scan kept the *last* maximum).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
-pub fn train_adaptive(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &AdaptiveConfig,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_adaptive_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_adaptive`] fanned out over `threads` pool workers, with
-/// per-iteration classify/update/binarize/eval spans recorded into `rec`
-/// (and into [`EpochRecord::timing`]) when it is enabled.
 ///
 /// # Errors
 ///
@@ -117,95 +102,71 @@ pub fn train_adaptive_recorded(
 ) -> Result<(HdcModel, TrainingHistory), LehdcError> {
     config.validate()?;
     let engine = EpochEngine::new(threads);
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums_pooled(train, threads)?;
-    let mut model = binarize(&nonbinary)?;
-    let mut history = TrainingHistory::new();
-    let d = train.dim().get() as f64;
-    let k = train.n_classes();
-    let mut touched = vec![false; k];
-    let mut prev_error = 1.0f64; // start at the maximum rate
+    let rule = AdaptiveRule { config };
+    retrain_loop(rule, config.iterations, None, train, test, &engine, rec)
+}
 
-    for iter in 0..config.iterations {
-        let iter_scale = if config.iteration_dependent {
-            prev_error.max(0.02) as f32
+/// AdaptHD as an [`UpdateRule`]: the iteration's rate follows the previous
+/// error rate, and each miss's step follows its similarity gap.
+pub(crate) struct AdaptiveRule<'a> {
+    pub(crate) config: &'a AdaptiveConfig,
+}
+
+impl UpdateRule for AdaptiveRule<'_> {
+    type Pass = Vec<i64>;
+    const NAME: &'static str = "adaptive";
+
+    fn rate(&self, _iter: usize, last_accuracy: Option<f64>) -> f32 {
+        // The first pass runs at the maximum rate.
+        let iter_scale = if self.config.iteration_dependent {
+            last_accuracy.map_or(1.0, |a| 1.0 - a).max(0.02) as f32
         } else {
             1.0
         };
-        let epoch_timer = rec.start();
+        self.config.max_alpha * iter_scale
+    }
 
-        let t = rec.start();
-        let sims = engine.similarities_epoch(&model, train.hvs());
-        let classify_ns = t.elapsed_ns();
+    fn classify(&self, engine: &EpochEngine, model: &HdcModel, train: &EncodedDataset) -> Vec<i64> {
+        engine.similarities_epoch(model, train.hvs())
+    }
 
-        let t = rec.start();
-        touched.fill(false);
+    fn update(
+        &mut self,
+        sims: &Vec<i64>,
+        train: &EncodedDataset,
+        sums: &mut [RealHv],
+        rate: f32,
+        touched: &mut [bool],
+    ) -> usize {
+        let d = train.dim().get() as f64;
+        let k = sums.len();
         let mut correct = 0usize;
         for i in 0..train.len() {
             let (hv, label) = train.sample(i);
             let row = &sims[i * k..(i + 1) * k];
-            let mut predicted = 0usize;
-            for c in 1..k {
-                if row[c] > row[predicted] {
-                    predicted = c;
-                }
-            }
+            let predicted = predicted_class(row);
             if predicted == label {
                 correct += 1;
                 continue;
             }
             // cosine = dot / D; gap ∈ (0, 2]
             let gap = ((row[predicted] - row[label]) as f64 / d) as f32;
-            let data_scale = if config.data_dependent { gap / 2.0 } else { 1.0 };
-            let alpha = config.max_alpha * iter_scale * data_scale;
-            nonbinary[label].add_scaled(hv, alpha);
-            nonbinary[predicted].add_scaled(hv, -alpha);
+            let data_scale = if self.config.data_dependent { gap / 2.0 } else { 1.0 };
+            let alpha = rate * data_scale;
+            sums[label].add_scaled(hv, alpha);
+            sums[predicted].add_scaled(hv, -alpha);
             touched[label] = true;
             touched[predicted] = true;
         }
-        let update_ns = t.elapsed_ns();
-        prev_error = 1.0 - correct as f64 / train.len() as f64;
-
-        let t = rec.start();
-        // Re-sign exactly the classes this pass updated; untouched rows are
-        // bit-unchanged, so this equals a full rebinarize.
-        for (c, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
-            model.resign_class(c, &nonbinary[c]);
-        }
-        let binarize_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
-        let eval_ns = t.elapsed_ns();
-
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "adaptive", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(config.max_alpha * iter_scale),
-            timing,
-        });
+        correct
     }
-    Ok((model, history))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::train_baseline;
-    use crate::test_util::multimodal_corpus;
+    use crate::baseline::train_baseline_threaded;
+    use crate::test_util::{multimodal_corpus, off};
 
     #[test]
     fn config_validation() {
@@ -227,13 +188,13 @@ mod tests {
     #[test]
     fn adaptive_beats_baseline_on_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(11);
-        let baseline = train_baseline(&train, 0).unwrap();
+        let baseline = train_baseline_threaded(&train, 0, 1).unwrap();
         let cfg = AdaptiveConfig {
             max_alpha: 5.0,
             iterations: 30,
             ..AdaptiveConfig::default()
         };
-        let (adapted, history) = train_adaptive(&train, None, &cfg).unwrap();
+        let (adapted, history) = train_adaptive_recorded(&train, None, &cfg, 1, &off()).unwrap();
         let base_acc = baseline.accuracy(test.hvs(), test.labels());
         let ad_acc = adapted.accuracy(test.hvs(), test.labels());
         assert!(ad_acc > base_acc, "adaptive {ad_acc} vs baseline {base_acc}");
@@ -243,7 +204,8 @@ mod tests {
     #[test]
     fn learning_rate_shrinks_as_error_falls() {
         let train = multimodal_corpus(3, 8, 512, 60, 12);
-        let (_, history) = train_adaptive(&train, None, &AdaptiveConfig::quick()).unwrap();
+        let (_, history) =
+            train_adaptive_recorded(&train, None, &AdaptiveConfig::quick(), 1, &off()).unwrap();
         let rates: Vec<f32> = history
             .records()
             .iter()
@@ -267,7 +229,7 @@ mod tests {
                 iteration_dependent: id,
                 max_alpha: 0.5,
             };
-            let (model, _) = train_adaptive(&train, None, &cfg).unwrap();
+            let (model, _) = train_adaptive_recorded(&train, None, &cfg, 1, &off()).unwrap();
             assert_eq!(model.n_classes(), 2);
         }
     }

@@ -14,6 +14,12 @@ use crate::model::HdcModel;
 /// This is the weakest strategy in the paper's Table 1 and the reference
 /// every improvement is measured against.
 ///
+/// The per-class bundling fans out over `threads` pool workers: each chunk
+/// bundles its samples into per-class bit-sliced accumulators and the
+/// partials merge in chunk order. Counts are exact integers, so the merged
+/// accumulators — and the thresholded model, whose tie-break RNG stream
+/// depends only on the final counters — are identical at any thread count.
+///
 /// # Errors
 ///
 /// Returns [`LehdcError::InvalidConfig`] if some class has no samples (its
@@ -24,7 +30,7 @@ use crate::model::HdcModel;
 /// ```
 /// use hdc::{Dim, RecordEncoder};
 /// use hdc_datasets::BenchmarkProfile;
-/// use lehdc::{baseline::train_baseline, EncodedDataset};
+/// use lehdc::{baseline::train_baseline_threaded, EncodedDataset};
 ///
 /// # fn main() -> Result<(), lehdc::LehdcError> {
 /// let data = BenchmarkProfile::pamap().quick().generate(1)?;
@@ -32,27 +38,11 @@ use crate::model::HdcModel;
 ///     .seed(1)
 ///     .build()?;
 /// let train = EncodedDataset::encode(&data.train, &enc, 2)?;
-/// let model = train_baseline(&train, 7)?;
+/// let model = train_baseline_threaded(&train, 7, 1)?;
 /// assert!(model.accuracy(train.hvs(), train.labels()) > 1.0 / 5.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn train_baseline(train: &EncodedDataset, seed: u64) -> Result<HdcModel, LehdcError> {
-    train_baseline_threaded(train, seed, 1)
-}
-
-/// [`train_baseline`] with the per-class bundling fanned out over `threads`
-/// pool workers.
-///
-/// Each chunk bundles its samples into per-class bit-sliced accumulators and
-/// the partials merge in chunk order; counts are exact integers, so the
-/// merged accumulators — and the thresholded model, whose tie-break RNG
-/// stream depends only on the final counters — are bit-identical to the
-/// sequential pass at any thread count.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] if some class has no samples.
 pub fn train_baseline_threaded(
     train: &EncodedDataset,
     seed: u64,
@@ -99,17 +89,8 @@ fn class_accumulators_pooled(
 
 /// Accumulates the *non-binary* class hypervectors (the raw bipolar sums of
 /// Eq. 2 before `sgn`) — the initialization the retraining strategies
-/// fine-tune (QuantHD keeps exactly these as its non-binary model).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] if some class has no samples.
-pub fn accumulate_class_sums(train: &EncodedDataset) -> Result<Vec<RealHv>, LehdcError> {
-    accumulate_class_sums_pooled(train, 1)
-}
-
-/// [`accumulate_class_sums`] fanned out over `threads` pool workers via
-/// per-chunk bit-sliced accumulators.
+/// fine-tune (QuantHD keeps exactly these as its non-binary model) — fanned
+/// out over `threads` pool workers via per-chunk bit-sliced accumulators.
 ///
 /// The per-dimension sums are integers with magnitude below `2²⁴` for any
 /// realistic corpus, so converting the exact counters to `f32` yields
@@ -179,7 +160,7 @@ mod tests {
     #[test]
     fn baseline_recovers_cluster_prototypes() {
         let (train, protos) = clustered_corpus(4, 15, 2048, 200, 1);
-        let model = train_baseline(&train, 3).unwrap();
+        let model = train_baseline_threaded(&train, 3, 1).unwrap();
         for (c, proto) in protos.iter().enumerate() {
             let h = model.class_hvs()[c].normalized_hamming(proto);
             assert!(h < 0.1, "class {c} hypervector is {h} from its prototype");
@@ -193,15 +174,15 @@ mod tests {
         let hvs = vec![BinaryHv::random(Dim::new(64), &mut rng)];
         // declared 2 classes, only class 0 has data
         let train = EncodedDataset::from_parts(hvs, vec![0], 2).unwrap();
-        assert!(train_baseline(&train, 0).is_err());
-        assert!(accumulate_class_sums(&train).is_err());
+        assert!(train_baseline_threaded(&train, 0, 1).is_err());
+        assert!(accumulate_class_sums_pooled(&train, 1).is_err());
     }
 
     #[test]
     fn class_sums_binarize_to_the_baseline_model() {
         let (train, _) = clustered_corpus(3, 9, 512, 50, 7); // odd count → no ties
-        let model = train_baseline(&train, 0).unwrap();
-        let sums = accumulate_class_sums(&train).unwrap();
+        let model = train_baseline_threaded(&train, 0, 1).unwrap();
+        let sums = accumulate_class_sums_pooled(&train, 1).unwrap();
         for (c, sum) in sums.iter().enumerate() {
             assert_eq!(
                 &sum.sign(),
@@ -214,8 +195,8 @@ mod tests {
     #[test]
     fn pooled_accumulation_matches_serial_at_any_thread_count() {
         let (train, _) = clustered_corpus(3, 11, 517, 40, 4);
-        let serial_sums = accumulate_class_sums(&train).unwrap();
-        let serial_model = train_baseline(&train, 9).unwrap();
+        let serial_sums = accumulate_class_sums_pooled(&train, 1).unwrap();
+        let serial_model = train_baseline_threaded(&train, 9, 1).unwrap();
         for threads in [2, 4] {
             assert_eq!(
                 accumulate_class_sums_pooled(&train, threads).unwrap(),
@@ -242,10 +223,10 @@ mod tests {
             2,
         )
         .unwrap();
-        let m1 = train_baseline(&train, 1).unwrap();
-        let m2 = train_baseline(&train, 2).unwrap();
+        let m1 = train_baseline_threaded(&train, 1, 1).unwrap();
+        let m2 = train_baseline_threaded(&train, 2, 1).unwrap();
         assert_ne!(m1.class_hvs()[0], m2.class_hvs()[0]);
-        let m1_again = train_baseline(&train, 1).unwrap();
+        let m1_again = train_baseline_threaded(&train, 1, 1).unwrap();
         assert_eq!(m1, m1_again, "same seed reproduces");
     }
 }

@@ -18,12 +18,19 @@
 //!   This is the **reference semantics** for retraining: one f32 rounding
 //!   step per dimension per iteration, rather than one per misclassified
 //!   sample — see `DESIGN.md` §8 for the argument and the parity guarantees.
+//! - `retrain_loop` is the one iteration loop of the three retraining
+//!   strategies (retraining, enhanced, adaptive), which differ only in their
+//!   `UpdateRule`; `IterationLog` is the per-iteration bookkeeping every
+//!   comparison strategy shares.
 
 use hdc::kernels;
 use hdc::{Accumulator, BinaryHv, Dim, RealHv};
 use threadpool::ThreadPool;
 
-use crate::history::EpochTiming;
+use crate::baseline::accumulate_class_sums_pooled;
+use crate::encoded::EncodedDataset;
+use crate::error::LehdcError;
+use crate::history::{EpochRecord, EpochTiming, TrainingHistory};
 use crate::model::HdcModel;
 
 /// Shared batched-pass machinery for the comparison strategies: a persistent
@@ -280,87 +287,197 @@ impl VoteLedger {
     }
 }
 
-/// Wall-clock spans of one comparison-strategy iteration, gathered by the
-/// strategy loops and folded into [`EpochTiming`]/metrics by
-/// [`record_strategy_epoch`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StrategySpans {
-    pub classify_ns: u64,
-    pub update_ns: u64,
-    pub binarize_ns: u64,
-    pub eval_ns: u64,
-    pub epoch_ns: u64,
-    pub samples: usize,
+/// The per-iteration bookkeeping every comparison strategy shares: each
+/// [`push`](Self::push) folds one iteration's wall-clock spans into the
+/// recorder (metrics + one `strategy_epoch` event) and appends its
+/// [`EpochRecord`]. The record's `timing` is `None` when the recorder is
+/// disabled, so histories stay equal across instrumented and
+/// uninstrumented runs.
+pub(crate) struct IterationLog<'a> {
+    rec: &'a obs::Recorder,
+    strategy: &'static str,
+    samples: usize,
+    history: TrainingHistory,
 }
 
-impl StrategySpans {
-    /// Training throughput over the iteration's working spans (classify +
-    /// update + binarize, excluding evaluation), matching the LeHDC
-    /// trainer's convention of `0.0` when nothing was timed.
-    pub(crate) fn samples_per_sec(&self) -> f64 {
-        let train_ns = self.classify_ns + self.update_ns + self.binarize_ns;
-        if train_ns == 0 {
-            0.0
-        } else {
-            self.samples as f64 * 1e9 / train_ns as f64
+impl<'a> IterationLog<'a> {
+    pub(crate) fn new(strategy: &'static str, samples: usize, rec: &'a obs::Recorder) -> Self {
+        IterationLog {
+            rec,
+            strategy,
+            samples,
+            history: TrainingHistory::new(),
         }
     }
+
+    /// Logs the next iteration (numbered from 0 in push order); `timing`
+    /// holds its spans, and its throughput is filled in here.
+    pub(crate) fn push(
+        &mut self,
+        mut timing: EpochTiming,
+        train_accuracy: f64,
+        test_accuracy: Option<f64>,
+        learning_rate: f32,
+    ) {
+        let (epoch, samples, rec) = (self.history.len(), self.samples, self.rec);
+        let timing = rec.enabled().then(|| {
+            // Throughput over the working spans (evaluation excluded); 0
+            // when nothing was timed, as in the LeHDC trainer.
+            let train_ns = timing.classify_ns + timing.update_ns + timing.binarize_ns;
+            timing.samples_per_sec = if train_ns == 0 {
+                0.0
+            } else {
+                samples as f64 * 1e9 / train_ns as f64
+            };
+            rec.observe_ns("strategy/epoch_ns", timing.epoch_ns);
+            rec.observe_ns("strategy/classify_ns", timing.classify_ns);
+            rec.observe_ns("strategy/update_ns", timing.update_ns);
+            rec.observe_ns("strategy/binarize_ns", timing.binarize_ns);
+            rec.observe_ns("strategy/eval_ns", timing.eval_ns);
+            rec.add("strategy/epochs", 1);
+            rec.add("strategy/samples", samples as u64);
+            rec.gauge("strategy/samples_per_sec", timing.samples_per_sec);
+            let mut fields = vec![
+                ("strategy", obs::Value::Str(self.strategy)),
+                ("epoch", obs::Value::U64(epoch as u64)),
+                ("samples", obs::Value::U64(samples as u64)),
+                ("samples_per_sec", obs::Value::F64(timing.samples_per_sec)),
+                ("classify_ns", obs::Value::U64(timing.classify_ns)),
+                ("update_ns", obs::Value::U64(timing.update_ns)),
+                ("binarize_ns", obs::Value::U64(timing.binarize_ns)),
+                ("eval_ns", obs::Value::U64(timing.eval_ns)),
+                ("epoch_ns", obs::Value::U64(timing.epoch_ns)),
+                ("train_accuracy", obs::Value::F64(train_accuracy)),
+            ];
+            if let Some(test_acc) = test_accuracy {
+                fields.push(("test_accuracy", obs::Value::F64(test_acc)));
+            }
+            rec.emit("strategy_epoch", &fields);
+            timing
+        });
+        self.history.push(EpochRecord {
+            epoch,
+            train_accuracy,
+            test_accuracy,
+            validation_accuracy: None,
+            loss: None,
+            learning_rate: Some(learning_rate),
+            timing,
+        });
+    }
+
+    pub(crate) fn finish(self) -> TrainingHistory {
+        self.history
+    }
 }
 
-/// Folds one strategy iteration's spans into the recorder (metrics + one
-/// `strategy_epoch` event) and returns the `EpochTiming` to attach to the
-/// history record — `None` when the recorder is disabled, so histories stay
-/// equal across instrumented and uninstrumented runs.
-pub(crate) fn record_strategy_epoch(
+/// What retraining (Eq. 3), enhanced retraining (Sec. 3.3) and AdaptHD
+/// differ in. [`retrain_loop`] calls each method once per pass; the
+/// per-sample work inside [`update`](Self::update) is statically dispatched.
+pub(crate) trait UpdateRule {
+    /// What the frozen model yields per pass: predictions or logits.
+    type Pass;
+    /// Strategy name on `strategy_epoch` events.
+    const NAME: &'static str;
+
+    /// The pass's learning rate (logged), given the previous pass's
+    /// training accuracy.
+    fn rate(&self, iter: usize, last_accuracy: Option<f64>) -> f32;
+
+    /// The frozen-model fan-out (the `classify` span).
+    fn classify(
+        &self,
+        engine: &EpochEngine,
+        model: &HdcModel,
+        train: &EncodedDataset,
+    ) -> Self::Pass;
+
+    /// Updates `sums` at `rate` from the pass, sets `touched[k]` for every
+    /// class whose sum it changed, and returns how many samples the frozen
+    /// model classified correctly (the `update` span).
+    fn update(
+        &mut self,
+        pass: &Self::Pass,
+        train: &EncodedDataset,
+        sums: &mut [RealHv],
+        rate: f32,
+        touched: &mut [bool],
+    ) -> usize;
+}
+
+/// The predicted class of one logit row: the largest dot, lowest index on
+/// ties, as in `model.classify` and every argmax kernel.
+pub(crate) fn predicted_class(row: &[i64]) -> usize {
+    (1..row.len()).fold(0, |best, c| if row[c] > row[best] { c } else { best })
+}
+
+/// The retraining iteration loop: start from the baseline class sums, then
+/// per pass classify with the frozen binary model, update the non-binary
+/// sums through `rule`, re-sign the touched classes, evaluate, and log.
+/// Runs `iterations` passes, or stops once the fraction of class bits a
+/// pass flipped falls below `threshold` (never after the first pass).
+pub(crate) fn retrain_loop<R: UpdateRule>(
+    mut rule: R,
+    iterations: usize,
+    threshold: Option<f64>,
+    train: &EncodedDataset,
+    test: Option<&EncodedDataset>,
+    engine: &EpochEngine,
     rec: &obs::Recorder,
-    strategy: &'static str,
-    epoch: usize,
-    spans: &StrategySpans,
-    train_accuracy: f64,
-    test_accuracy: Option<f64>,
-) -> Option<EpochTiming> {
-    if !rec.enabled() {
-        return None;
+) -> Result<(HdcModel, TrainingHistory), LehdcError> {
+    let mut sums = accumulate_class_sums_pooled(train, engine.threads())?;
+    let mut model = HdcModel::new(sums.iter().map(RealHv::sign).collect())?;
+    let mut touched = vec![false; train.n_classes()];
+    let mut log = IterationLog::new(R::NAME, train.len(), rec);
+    let mut last_accuracy = None;
+
+    for iter in 0..iterations {
+        let rate = rule.rate(iter, last_accuracy);
+        let epoch_timer = rec.start();
+        let mut timing = EpochTiming::default();
+
+        let t = rec.start();
+        let pass = rule.classify(engine, &model, train);
+        timing.classify_ns = t.elapsed_ns();
+
+        let t = rec.start();
+        touched.fill(false);
+        let correct = rule.update(&pass, train, &mut sums, rate, &mut touched);
+        timing.update_ns = t.elapsed_ns();
+
+        let t = rec.start();
+        // Only touched classes can change sign: an untouched class sum is
+        // bit-unchanged, so its row is too. Re-signing exactly those rows
+        // equals a full rebinarize, and their Hamming flips are the paper's
+        // "updating on class hypervectors" convergence signal.
+        let flipped: usize = (0..touched.len())
+            .filter(|&k| touched[k])
+            .map(|k| model.resign_class(k, &sums[k]))
+            .sum();
+        timing.binarize_ns = t.elapsed_ns();
+
+        let t = rec.start();
+        let train_accuracy = correct as f64 / train.len() as f64;
+        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
+        timing.eval_ns = t.elapsed_ns();
+        timing.epoch_ns = epoch_timer.elapsed_ns();
+        log.push(timing, train_accuracy, test_accuracy, rate);
+        last_accuracy = Some(train_accuracy);
+        let flip_fraction = flipped as f64 / (train.dim().get() * touched.len()) as f64;
+        if iter > 0 && threshold.is_some_and(|t| flip_fraction < t) {
+            break;
+        }
     }
-    let samples_per_sec = spans.samples_per_sec();
-    rec.observe_ns("strategy/epoch_ns", spans.epoch_ns);
-    rec.observe_ns("strategy/classify_ns", spans.classify_ns);
-    rec.observe_ns("strategy/update_ns", spans.update_ns);
-    rec.observe_ns("strategy/binarize_ns", spans.binarize_ns);
-    rec.observe_ns("strategy/eval_ns", spans.eval_ns);
-    rec.add("strategy/epochs", 1);
-    rec.add("strategy/samples", spans.samples as u64);
-    rec.gauge("strategy/samples_per_sec", samples_per_sec);
-    let mut fields = vec![
-        ("strategy", obs::Value::Str(strategy)),
-        ("epoch", obs::Value::U64(epoch as u64)),
-        ("samples", obs::Value::U64(spans.samples as u64)),
-        ("samples_per_sec", obs::Value::F64(samples_per_sec)),
-        ("classify_ns", obs::Value::U64(spans.classify_ns)),
-        ("update_ns", obs::Value::U64(spans.update_ns)),
-        ("binarize_ns", obs::Value::U64(spans.binarize_ns)),
-        ("eval_ns", obs::Value::U64(spans.eval_ns)),
-        ("epoch_ns", obs::Value::U64(spans.epoch_ns)),
-        ("train_accuracy", obs::Value::F64(train_accuracy)),
-    ];
-    if let Some(test_acc) = test_accuracy {
-        fields.push(("test_accuracy", obs::Value::F64(test_acc)));
-    }
-    rec.emit("strategy_epoch", &fields);
-    Some(EpochTiming {
-        classify_ns: spans.classify_ns,
-        update_ns: spans.update_ns,
-        binarize_ns: spans.binarize_ns,
-        eval_ns: spans.eval_ns,
-        epoch_ns: spans.epoch_ns,
-        samples_per_sec,
-        ..EpochTiming::default()
-    })
+    Ok((model, log.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{AdaptiveConfig, AdaptiveRule};
+    use crate::enhanced::EnhancedRule;
+    use crate::retrain::{RetrainConfig, RetrainRule};
+    use crate::test_util::{hard_encoded_pair, off};
     use hdc::Dim;
 
     fn corpus(d: Dim, n: usize, seed: u64) -> Vec<BinaryHv> {
@@ -454,5 +571,35 @@ mod tests {
         assert!(ledger.is_empty());
         ledger.votes_into(0, &mut votes);
         assert!(votes.iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn retraining_rules_are_bit_identical_across_threads_and_blocks() {
+        fn fit<R: UpdateRule>(rule: R, engine: &EpochEngine) -> (HdcModel, TrainingHistory) {
+            // The baseline misclassifies this corpus, so every pass
+            // performs real updates.
+            let (train, test) = hard_encoded_pair(1);
+            retrain_loop(rule, 8, None, &train, Some(&test), engine, &off()).unwrap()
+        }
+        let (train, _) = hard_encoded_pair(1);
+        let (rcfg, acfg) = (RetrainConfig::default(), AdaptiveConfig::default());
+        let run = |engine: &EpochEngine| {
+            [
+                fit(RetrainRule::new(&rcfg, &train, engine.pool()), engine),
+                fit(EnhancedRule { config: &rcfg }, engine),
+                fit(AdaptiveRule { config: &acfg }, engine),
+            ]
+        };
+        let reference = run(&EpochEngine::new(1));
+        for (_, history) in &reference {
+            assert_eq!(history.len(), 8);
+            assert!(history.records()[0].train_accuracy < 1.0);
+        }
+        for threads in [1usize, 2, 4] {
+            for block in [1usize, 7, 64, 256] {
+                let observed = run(&EpochEngine::with_block(threads, block));
+                assert_eq!(observed, reference, "threads={threads} block={block}");
+            }
+        }
     }
 }

@@ -37,6 +37,7 @@
 //! Sign/exponent planes of normalizer tables and the high bits of ASCII
 //! collapse into a handful of runs.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use crate::error::LehdcError;
@@ -229,12 +230,14 @@ pub fn pack(data: &[u8], stride: usize) -> Vec<u8> {
 
 /// Decompresses a [`pack`]ed stream, validating that every plane covers
 /// exactly `raw_len` bits and that no bytes trail the final plane.
-pub fn unpack(packed: &[u8]) -> Result<Vec<u8>, LehdcError> {
+/// A few bytes of runs can describe any length, so a stream claiming more
+/// than `max_len` bytes is rejected before anything is allocated.
+pub fn unpack(packed: &[u8], max_len: u64) -> Result<Vec<u8>, LehdcError> {
     let mut pos = 0usize;
     let raw_len = read_varint(packed, &mut pos)?;
-    if raw_len > MAX_AUX_LEN {
+    if raw_len > max_len {
         return Err(LehdcError::ModelFormat(format!(
-            "compressed stream claims implausible raw length {raw_len}"
+            "packed section claims {raw_len} bytes, more than the {max_len} allowed"
         )));
     }
     let raw_len = raw_len as usize;
@@ -274,7 +277,7 @@ pub fn unpack(packed: &[u8]) -> Result<Vec<u8>, LehdcError> {
             "trailing bytes after the final bit plane".into(),
         ));
     }
-    Ok(untranspose(&transposed, stride))
+    Ok(untranspose(transposed, stride))
 }
 
 /// Column-major reorder: byte `i` of every stride-sized element first, then
@@ -295,9 +298,9 @@ fn transpose(data: &[u8], stride: usize) -> Vec<u8> {
     out
 }
 
-fn untranspose(data: &[u8], stride: usize) -> Vec<u8> {
+fn untranspose(data: Vec<u8>, stride: usize) -> Vec<u8> {
     if stride <= 1 {
-        return data.to_vec();
+        return data;
     }
     let mut out = vec![0u8; data.len()];
     let mut src = 0usize;
@@ -626,10 +629,23 @@ pub struct Container {
     pub artifact: Artifact,
     /// Metadata JSON, already decompressed.
     pub meta: String,
-    /// Aux section, already decompressed.
-    pub aux: Vec<u8>,
     /// All hypervector planes, concatenated in file order.
     pub words: Vec<u64>,
+    compression: Compression,
+    /// The aux section as the file holds it; see [`Container::aux`].
+    aux_blob: Vec<u8>,
+}
+
+impl Container {
+    /// The aux section, decompressed. `max_len` is the largest aux the
+    /// parsed metadata allows, the bound [`unpack`] enforces. (A stored
+    /// section is already in memory; its parser rejects unread bytes.)
+    pub fn aux(&self, max_len: u64) -> Result<Cow<'_, [u8]>, LehdcError> {
+        match self.compression {
+            Compression::Stored => Ok(Cow::Borrowed(&self.aux_blob)),
+            Compression::Packed => unpack(&self.aux_blob, max_len.min(MAX_AUX_LEN)).map(Cow::Owned),
+        }
+    }
 }
 
 /// Stride hint for aux sections dominated by `f32` tables.
@@ -750,7 +766,8 @@ pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<Header, LehdcError>
 /// # Errors
 ///
 /// As [`read_header`], plus truncated sections, nonzero padding, and
-/// undecodable packed sections.
+/// undecodable packed metadata. The aux section is decoded on demand by
+/// [`Container::aux`], once the metadata says how large it may be.
 pub fn read_container<R: Read>(reader: &mut R) -> Result<Container, LehdcError> {
     let header = read_header(reader)?;
     let meta_blob = read_section(reader, header.meta_len)?;
@@ -763,9 +780,9 @@ pub fn read_container<R: Read>(reader: &mut R) -> Result<Container, LehdcError> 
         ));
     }
 
-    let (meta_bytes, aux) = match header.compression {
-        Compression::Stored => (meta_blob, aux_blob),
-        Compression::Packed => (unpack(&meta_blob)?, unpack(&aux_blob)?),
+    let meta_bytes = match header.compression {
+        Compression::Stored => meta_blob,
+        Compression::Packed => unpack(&meta_blob, MAX_META_LEN)?,
     };
     let meta = String::from_utf8(meta_bytes)
         .map_err(|_| LehdcError::ModelFormat("metadata is not valid UTF-8".into()))?;
@@ -780,8 +797,9 @@ pub fn read_container<R: Read>(reader: &mut R) -> Result<Container, LehdcError> 
     Ok(Container {
         artifact: header.artifact,
         meta,
-        aux,
         words,
+        compression: header.compression,
+        aux_blob,
     })
 }
 
@@ -803,7 +821,7 @@ mod tests {
 
     fn roundtrip_codec(data: &[u8], stride: usize) {
         let packed = pack(data, stride);
-        let back = unpack(&packed).expect("unpack");
+        let back = unpack(&packed, data.len() as u64).expect("unpack");
         assert_eq!(back, data, "codec roundtrip failed (stride {stride})");
     }
 
@@ -864,17 +882,17 @@ mod tests {
         let packed = pack(b"hello world, hello world", 1);
         // Truncation at every prefix errors, never panics.
         for cut in 0..packed.len() {
-            assert!(unpack(&packed[..cut]).is_err(), "cut {cut} accepted");
+            assert!(unpack(&packed[..cut], u64::MAX).is_err(), "cut {cut} accepted");
         }
         // Trailing garbage after the final plane.
         let mut trailing = packed.clone();
         trailing.push(0x00);
-        assert!(unpack(&trailing).is_err());
+        assert!(unpack(&trailing, u64::MAX).is_err());
         // Zero stride.
         let mut zero_stride = Vec::new();
         write_varint(&mut zero_stride, 4);
         write_varint(&mut zero_stride, 0);
-        assert!(unpack(&zero_stride).is_err());
+        assert!(unpack(&zero_stride, u64::MAX).is_err());
     }
 
     #[test]
@@ -945,7 +963,8 @@ mod tests {
             let c = read_container(&mut reader).expect("read");
             assert_eq!(c.artifact, Artifact::Model);
             assert_eq!(c.meta, "{\"dim\":2368,\"classes\":1}");
-            assert_eq!(&c.aux, aux);
+            assert_eq!(c.aux(aux.len() as u64).unwrap().as_ref(), aux.as_slice());
+            assert_eq!(c.aux(aux.len() as u64 - 1).is_err(), want == Compression::Packed);
             assert_eq!(c.words, planes);
             assert!(reader.is_empty(), "reader must consume the whole file");
         }

@@ -132,7 +132,7 @@ fn model_from_container(c: &format::Container) -> Result<HdcModel, LehdcError> {
     let dim = meta.need_u64("dim")? as usize;
     let k = meta.need_u64("classes")? as usize;
     check_model_shape(dim, k)?;
-    if !c.aux.is_empty() {
+    if !c.aux(0)?.is_empty() {
         return Err(LehdcError::ModelFormat(
             "model containers carry no aux section".into(),
         ));
@@ -546,8 +546,13 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
         )));
     }
 
+    // Aux: a count varint, a varint per kept dim, two f32 tables.
+    let max_aux = 10
+        + if distilled { 10 * dim as u64 } else { 0 }
+        + if has_normalizer { 8 * n_features as u64 } else { 0 };
+    let aux = c.aux(max_aux)?;
     let mut pos = 0usize;
-    let n_sel = read_varint(&c.aux, &mut pos)? as usize;
+    let n_sel = read_varint(&aux, &mut pos)? as usize;
     let selection = if distilled {
         if n_sel != dim {
             return Err(LehdcError::ModelFormat(format!(
@@ -556,10 +561,10 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
         }
         // Each dim is at least one varint byte, so the aux length bounds
         // the reservation whatever the metadata claims.
-        let mut dims = Vec::with_capacity(n_sel.min(c.aux.len()));
+        let mut dims = Vec::with_capacity(n_sel.min(aux.len()));
         let mut current = 0u64;
         for i in 0..n_sel {
-            let delta = read_varint(&c.aux, &mut pos)?;
+            let delta = read_varint(&aux, &mut pos)?;
             if i > 0 && delta == 0 {
                 return Err(LehdcError::ModelFormat(
                     "selection dims must be strictly increasing".into(),
@@ -591,14 +596,14 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
     };
     let normalizer = if has_normalizer {
         let need = n_features * 8;
-        if c.aux.len() - pos != need {
+        if aux.len() - pos != need {
             return Err(LehdcError::ModelFormat(format!(
                 "normalizer section holds {} bytes but N={n_features} needs {need}",
-                c.aux.len() - pos
+                aux.len() - pos
             )));
         }
         let mut read_f32s = |n: usize| {
-            let out: Vec<f32> = c.aux[pos..pos + n * 4]
+            let out: Vec<f32> = aux[pos..pos + n * 4]
                 .chunks_exact(4)
                 .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
                 .collect();
@@ -611,7 +616,7 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
     } else {
         None
     };
-    if pos != c.aux.len() {
+    if pos != aux.len() {
         return Err(LehdcError::ModelFormat(
             "trailing bytes in the bundle aux section".into(),
         ));
@@ -733,17 +738,20 @@ fn encoded_from_container(c: &format::Container) -> Result<crate::EncodedDataset
     let n_classes = meta.need_u64("classes")? as usize;
     let n_samples = meta.need_u64("samples")? as usize;
     check_corpus_shape(dim, n_classes, n_samples)?;
+    // Checking the planes (real file bytes) first bounds the sample count,
+    // and with it the labels: one varint of at most 10 bytes each.
+    let hvs = words_to_hvs(&c.words, Dim::new(dim), n_samples, "corpus")?;
+    let aux = c.aux(10 * n_samples as u64)?;
     let mut pos = 0usize;
-    let mut labels = Vec::with_capacity(n_samples.min(c.aux.len()));
+    let mut labels = Vec::with_capacity(n_samples.min(aux.len()));
     for _ in 0..n_samples {
-        labels.push(read_varint(&c.aux, &mut pos)? as usize);
+        labels.push(read_varint(&aux, &mut pos)? as usize);
     }
-    if pos != c.aux.len() {
+    if pos != aux.len() {
         return Err(LehdcError::ModelFormat(
             "trailing bytes in the corpus label section".into(),
         ));
     }
-    let hvs = words_to_hvs(&c.words, Dim::new(dim), n_samples, "corpus")?;
     crate::EncodedDataset::from_parts(hvs, labels, n_classes)
 }
 

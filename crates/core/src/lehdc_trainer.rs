@@ -688,9 +688,9 @@ fn model_from_layer(layer: &BinaryLinear, k: usize) -> Result<HdcModel, LehdcErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::train_baseline;
-    use crate::retrain::{train_retraining, RetrainConfig};
-    use crate::test_util::multimodal_corpus;
+    use crate::baseline::train_baseline_threaded;
+    use crate::retrain::{train_retraining_recorded, RetrainConfig};
+    use crate::test_util::{multimodal_corpus, off};
 
     #[test]
     fn config_presets_match_table2() {
@@ -747,8 +747,9 @@ mod tests {
     #[test]
     fn lehdc_beats_baseline_and_retraining_on_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(31);
-        let baseline = train_baseline(&train, 0).unwrap();
-        let (retrained, _) = train_retraining(&train, None, &RetrainConfig::quick()).unwrap();
+        let baseline = train_baseline_threaded(&train, 0, 1).unwrap();
+        let (retrained, _) =
+            train_retraining_recorded(&train, None, &RetrainConfig::quick(), 1, &off()).unwrap();
         let cfg = LehdcConfig {
             epochs: 25,
             batch_size: 32,

@@ -19,9 +19,9 @@ use hdc::{kernels, Accumulator, BinaryHv};
 use testkit::Rng;
 
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, StrategySpans};
+use crate::engine::IterationLog;
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::{EpochTiming, TrainingHistory};
 use crate::model::HdcModel;
 
 /// Configuration of multi-model (SearcHD) training.
@@ -242,33 +242,21 @@ impl MultiModel {
 }
 
 /// Trains a multi-model HDC classifier with SearcHD-style stochastic
-/// binary updates.
+/// binary updates, with accuracy evaluations fanned out over `threads` pool
+/// workers and per-iteration classify/update/eval spans recorded into `rec`
+/// (and into [`EpochRecord::timing`](crate::EpochRecord::timing)) when it
+/// is enabled.
 ///
 /// Initialization bundles a random partition of each class's samples into
 /// its `n` models (falling back to random hypervectors when a class has
 /// fewer samples than models — the data-starvation regime in which the
 /// paper observes multi-model falling below the baseline).
 ///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration.
-pub fn train_multimodel(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &MultiModelConfig,
-) -> Result<(MultiModel, TrainingHistory), LehdcError> {
-    train_multimodel_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_multimodel`] with accuracy evaluations fanned out over `threads`
-/// pool workers and per-iteration classify/update/eval spans recorded into
-/// `rec` (and into [`EpochRecord::timing`]) when it is enabled.
-///
 /// The in-pass stochastic updates stay sequential — each sample's flips
 /// depend on the models as already mutated by earlier samples, and the flip
 /// RNG stream is consumed in sample order — so models and histories are
-/// bit-identical to [`train_multimodel`] at any thread count; only the
-/// `best_match` scans and evaluations are kernel-routed.
+/// bit-identical at any thread count; only the `best_match` scans and
+/// evaluations are kernel-routed.
 ///
 /// # Errors
 ///
@@ -310,19 +298,18 @@ pub fn train_multimodel_recorded(
         models.push(class_models);
     }
     let mut model = MultiModel { models };
-    let mut history = TrainingHistory::new();
+    let mut log = IterationLog::new("multimodel", train.len(), rec);
     let d = dim.get();
 
-    for iter in 0..config.iterations {
+    for _ in 0..config.iterations {
         let epoch_timer = rec.start();
-        let mut classify_ns = 0u64;
-        let mut update_ns = 0u64;
+        let mut timing = EpochTiming::default();
         let mut correct = 0usize;
         for i in 0..train.len() {
             let (hv, label) = train.sample(i);
             let t = rec.start();
             let (pred_class, pred_model, pred_dot) = model.best_match(hv);
-            classify_ns += t.elapsed_ns();
+            timing.classify_ns += t.elapsed_ns();
             if pred_class == label {
                 correct += 1;
                 continue;
@@ -353,41 +340,24 @@ pub fn train_multimodel_recorded(
                     }
                 }
             }
-            update_ns += t.elapsed_ns();
+            timing.update_ns += t.elapsed_ns();
         }
         let t = rec.start();
         let train_accuracy = correct as f64 / train.len() as f64;
         let test_accuracy =
             test.map(|ts| model.accuracy_threaded(ts.hvs(), ts.labels(), threads));
-        let eval_ns = t.elapsed_ns();
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns: 0,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "multimodel", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(config.flip_rate),
-            timing,
-        });
+        timing.eval_ns = t.elapsed_ns();
+        timing.epoch_ns = epoch_timer.elapsed_ns();
+        log.push(timing, train_accuracy, test_accuracy, config.flip_rate);
     }
-    Ok((model, history))
+    Ok((model, log.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::train_baseline;
-    use crate::test_util::multimodal_corpus;
+    use crate::baseline::train_baseline_threaded;
+    use crate::test_util::{multimodal_corpus, off};
 
     #[test]
     fn config_validation() {
@@ -417,14 +387,14 @@ mod tests {
     #[test]
     fn multimodel_is_well_above_chance_on_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(21);
-        let baseline = train_baseline(&train, 0).unwrap();
+        let baseline = train_baseline_threaded(&train, 0, 1).unwrap();
         let cfg = MultiModelConfig {
             models_per_class: 3,
             iterations: 8,
             flip_rate: 0.2,
             seed: 3,
         };
-        let (mm, history) = train_multimodel(&train, None, &cfg).unwrap();
+        let (mm, history) = train_multimodel_recorded(&train, None, &cfg, 1, &off()).unwrap();
         let base_acc = baseline.accuracy(test.hvs(), test.labels());
         let mm_acc = mm.accuracy(test.hvs(), test.labels());
         // 10 classes → chance 0.1. With only ~50 samples per class the
@@ -450,7 +420,7 @@ mod tests {
             flip_rate: 0.5,
             seed: 5,
         };
-        let (mm, _) = train_multimodel(&train, None, &cfg).unwrap();
+        let (mm, _) = train_multimodel_recorded(&train, None, &cfg, 1, &off()).unwrap();
         let few = mm.accuracy(train.hvs(), train.labels());
         let cfg_fit = MultiModelConfig {
             models_per_class: 2,
@@ -458,7 +428,7 @@ mod tests {
             flip_rate: 0.5,
             seed: 5,
         };
-        let (mm_fit, _) = train_multimodel(&train, None, &cfg_fit).unwrap();
+        let (mm_fit, _) = train_multimodel_recorded(&train, None, &cfg_fit, 1, &off()).unwrap();
         let fit = mm_fit.accuracy(train.hvs(), train.labels());
         assert!(
             few <= fit,
@@ -469,7 +439,8 @@ mod tests {
     #[test]
     fn collapse_produces_single_model() {
         let train = multimodal_corpus(2, 6, 256, 30, 23);
-        let (mm, _) = train_multimodel(&train, None, &MultiModelConfig::quick()).unwrap();
+        let (mm, _) =
+            train_multimodel_recorded(&train, None, &MultiModelConfig::quick(), 1, &off()).unwrap();
         let collapsed = mm.collapse(1).unwrap();
         assert_eq!(collapsed.n_classes(), 2);
         assert_eq!(collapsed.dim().get(), 256);
@@ -478,7 +449,8 @@ mod tests {
     #[test]
     fn blocked_classification_matches_per_query() {
         let train = multimodal_corpus(3, 4, 300, 25, 25);
-        let (mm, _) = train_multimodel(&train, None, &MultiModelConfig::quick()).unwrap();
+        let (mm, _) =
+            train_multimodel_recorded(&train, None, &MultiModelConfig::quick(), 1, &off()).unwrap();
         let serial: Vec<usize> = train.hvs().iter().map(|q| mm.classify(q)).collect();
         let serial_acc = mm.accuracy(train.hvs(), train.labels());
         for threads in [1, 4] {
@@ -506,8 +478,8 @@ mod tests {
             flip_rate: 0.4,
             seed: 9,
         };
-        let (a, _) = train_multimodel(&train, None, &cfg).unwrap();
-        let (b, _) = train_multimodel(&train, None, &cfg).unwrap();
+        let (a, _) = train_multimodel_recorded(&train, None, &cfg, 1, &off()).unwrap();
+        let (b, _) = train_multimodel_recorded(&train, None, &cfg, 1, &off()).unwrap();
         assert_eq!(a, b);
     }
 }

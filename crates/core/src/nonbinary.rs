@@ -10,11 +10,11 @@
 use binnet::{softmax_cross_entropy, Adam, BatchSampler, DenseLinear, Dropout, Optimizer, PlateauDecay};
 use hdc::RealHv;
 
-use crate::baseline::{accumulate_class_sums, accumulate_class_sums_pooled};
+use crate::baseline::accumulate_class_sums_pooled;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, StrategySpans};
+use crate::engine::IterationLog;
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::{EpochRecord, EpochTiming, TrainingHistory};
 use crate::lehdc_trainer::LehdcConfig;
 use crate::model::NonBinaryModel;
 
@@ -44,35 +44,20 @@ use crate::model::NonBinaryModel;
 /// # }
 /// ```
 pub fn train_nonbinary_baseline(train: &EncodedDataset) -> Result<NonBinaryModel, LehdcError> {
-    NonBinaryModel::new(accumulate_class_sums(train)?)
+    NonBinaryModel::new(accumulate_class_sums_pooled(train, 1)?)
 }
 
 /// Fine-tunes a non-binary model with perceptron-style updates: each
 /// misclassified sample is added to its true class hypervector and
-/// subtracted from the predicted one (no binarization anywhere).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] if `iterations == 0`, `alpha` is
-/// non-positive, or a class has no samples.
-pub fn train_nonbinary(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    alpha: f32,
-    iterations: usize,
-) -> Result<(NonBinaryModel, TrainingHistory), LehdcError> {
-    train_nonbinary_recorded(train, test, alpha, iterations, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_nonbinary`] with the class-sum initialization and accuracy
-/// evaluations fanned out over `threads` pool workers, and per-iteration
-/// classify/update/eval spans recorded into `rec` (and into
-/// [`EpochRecord::timing`]) when it is enabled.
+/// subtracted from the predicted one (no binarization anywhere). The
+/// class-sum initialization and accuracy evaluations fan out over `threads`
+/// pool workers, and per-iteration classify/update/eval spans are recorded
+/// into `rec` (and into [`EpochRecord::timing`]) when it is enabled.
 ///
 /// The training pass itself stays sequential: the perceptron updates mutate
 /// the class hypervectors mid-pass, so each sample's cosine scan depends on
-/// the updates before it. Models and histories are bit-identical to
-/// [`train_nonbinary`] at any thread count.
+/// the updates before it. Models and histories are bit-identical at any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -97,12 +82,11 @@ pub fn train_nonbinary_recorded(
         )));
     }
     let mut class_hvs = accumulate_class_sums_pooled(train, threads)?;
-    let mut history = TrainingHistory::new();
+    let mut log = IterationLog::new("nonbinary", train.len(), rec);
 
-    for iter in 0..iterations {
+    for _ in 0..iterations {
         let epoch_timer = rec.start();
-        let mut classify_ns = 0u64;
-        let mut update_ns = 0u64;
+        let mut timing = EpochTiming::default();
         let mut correct = 0usize;
         for i in 0..train.len() {
             let (hv, label) = train.sample(i);
@@ -115,14 +99,14 @@ pub fn train_nonbinary_recorded(
                     best = (cos, k);
                 }
             }
-            classify_ns += t.elapsed_ns();
+            timing.classify_ns += t.elapsed_ns();
             if best.1 == label {
                 correct += 1;
             } else {
                 let t = rec.start();
                 class_hvs[label].add_scaled(hv, alpha);
                 class_hvs[best.1].add_scaled(hv, -alpha);
-                update_ns += t.elapsed_ns();
+                timing.update_ns += t.elapsed_ns();
             }
         }
         let model = NonBinaryModel::new(class_hvs.clone())?;
@@ -130,28 +114,11 @@ pub fn train_nonbinary_recorded(
         let train_accuracy = correct as f64 / train.len() as f64;
         let test_accuracy =
             test.map(|ts| model.accuracy_threaded(ts.hvs(), ts.labels(), threads));
-        let eval_ns = t.elapsed_ns();
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns: 0,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "nonbinary", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(alpha),
-            timing,
-        });
+        timing.eval_ns = t.elapsed_ns();
+        timing.epoch_ns = epoch_timer.elapsed_ns();
+        log.push(timing, train_accuracy, test_accuracy, alpha);
     }
-    Ok((NonBinaryModel::new(class_hvs)?, history))
+    Ok((NonBinaryModel::new(class_hvs)?, log.finish()))
 }
 
 /// **Non-binary LeHDC** (paper footnote 1: "our result also applies to
@@ -180,7 +147,7 @@ pub fn train_lehdc_nonbinary(
     let k = train.n_classes();
 
     let mut layer = if config.warm_start {
-        let sums = accumulate_class_sums(train)?;
+        let sums = accumulate_class_sums_pooled(train, 1)?;
         let scale = 1.0 / (train.len() as f32 / k as f32).max(1.0);
         DenseLinear::with_init(d, k, |r, c| sums[c].values()[r] * scale)
     } else {
@@ -238,15 +205,15 @@ fn model_from_dense(layer: &DenseLinear, k: usize) -> Result<NonBinaryModel, Leh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::train_baseline;
-    use crate::test_util::multimodal_corpus;
+    use crate::baseline::train_baseline_threaded;
+    use crate::test_util::{multimodal_corpus, off};
 
     #[test]
     fn nonbinary_baseline_matches_binary_baseline_in_the_easy_case() {
         // Where the binary baseline is already perfect, the non-binary one
         // (richer information) must also be perfect.
         let train = multimodal_corpus(3, 10, 1024, 50, 41);
-        let binary = train_baseline(&train, 0).unwrap();
+        let binary = train_baseline_threaded(&train, 0, 1).unwrap();
         let nonbinary = train_nonbinary_baseline(&train).unwrap();
         let bin_acc = binary.accuracy(train.hvs(), train.labels());
         let nb_acc = nonbinary.accuracy(train.hvs(), train.labels());
@@ -260,7 +227,7 @@ mod tests {
     fn fine_tuning_improves_hard_data() {
         let train = multimodal_corpus(4, 10, 512, 120, 42);
         let baseline = train_nonbinary_baseline(&train).unwrap();
-        let (tuned, history) = train_nonbinary(&train, None, 1.0, 15).unwrap();
+        let (tuned, history) = train_nonbinary_recorded(&train, None, 1.0, 15, 1, &off()).unwrap();
         let before = baseline.accuracy(train.hvs(), train.labels());
         let after = tuned.accuracy(train.hvs(), train.labels());
         assert!(after >= before, "tuning {after} should not hurt {before}");
@@ -270,9 +237,9 @@ mod tests {
     #[test]
     fn validation_rejects_bad_params() {
         let train = multimodal_corpus(2, 3, 128, 10, 43);
-        assert!(train_nonbinary(&train, None, 0.0, 5).is_err());
-        assert!(train_nonbinary(&train, None, 1.0, 0).is_err());
-        assert!(train_nonbinary(&train, None, f32::NAN, 5).is_err());
+        assert!(train_nonbinary_recorded(&train, None, 0.0, 5, 1, &off()).is_err());
+        assert!(train_nonbinary_recorded(&train, None, 1.0, 0, 1, &off()).is_err());
+        assert!(train_nonbinary_recorded(&train, None, f32::NAN, 5, 1, &off()).is_err());
     }
 
     #[test]
@@ -314,7 +281,7 @@ mod tests {
         let train = multimodal_corpus(2, 5, 256, 20, 44); // odd per-class → no ties
         let nb = train_nonbinary_baseline(&train).unwrap();
         let bin = nb.to_binary().unwrap();
-        let direct = train_baseline(&train, 0).unwrap();
+        let direct = train_baseline_threaded(&train, 0, 1).unwrap();
         // Per-class counts are 2*5=10 (even) so ties are possible; compare
         // only where the sums are non-zero by checking high agreement.
         let mut agree = 0usize;

@@ -1,12 +1,12 @@
 //! The QuantHD retraining strategy (paper Sec. 2.2, Eq. 3, ref \[4\]).
 
 use hdc::RealHv;
+use threadpool::ThreadPool;
 
-use crate::baseline::accumulate_class_sums_pooled;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, EpochEngine, StrategySpans, VoteLedger};
+use crate::engine::{retrain_loop, EpochEngine, UpdateRule, VoteLedger};
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::model::HdcModel;
 
 /// Configuration of the retraining strategy.
@@ -86,6 +86,15 @@ impl RetrainConfig {
         }
         Ok(())
     }
+
+    /// The rate of iteration `iter`: `first_alpha`, then `alpha`.
+    pub(crate) fn rate(&self, iter: usize) -> f32 {
+        if iter == 0 {
+            self.first_alpha
+        } else {
+            self.alpha
+        }
+    }
 }
 
 /// Trains a binary HDC model with QuantHD-style retraining.
@@ -102,6 +111,10 @@ impl RetrainConfig {
 ///
 /// and the binary model is refreshed from the signs after the pass. When
 /// `test` is given, test accuracy is logged per iteration (paper Fig. 3).
+/// The classification fans out over `threads` pool workers, and
+/// per-iteration classify/update/binarize/eval spans are recorded into `rec`
+/// (and into [`EpochRecord::timing`](crate::EpochRecord::timing)) when it is
+/// enabled.
 ///
 /// # Batched semantics
 ///
@@ -121,22 +134,6 @@ impl RetrainConfig {
 ///
 /// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
 /// class with no training samples.
-pub fn train_retraining(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &RetrainConfig,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_retraining_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_retraining`] fanned out over `threads` pool workers, with
-/// per-iteration classify/update/binarize/eval spans recorded into `rec`
-/// (and into [`EpochRecord::timing`]) when it is enabled.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
 pub fn train_retraining_recorded(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
@@ -144,113 +141,79 @@ pub fn train_retraining_recorded(
     threads: usize,
     rec: &obs::Recorder,
 ) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_retraining_with_engine(train, test, config, &EpochEngine::new(threads), rec)
+    config.validate()?;
+    let engine = EpochEngine::new(threads);
+    let rule = RetrainRule::new(config, train, engine.pool());
+    let (iterations, threshold) = (config.iterations, config.convergence_threshold);
+    retrain_loop(rule, iterations, threshold, train, test, &engine, rec)
 }
 
-/// [`train_retraining_recorded`] against a caller-built [`EpochEngine`] —
-/// the determinism suite uses this to pin block-size invariance.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
-pub fn train_retraining_with_engine(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &RetrainConfig,
-    engine: &EpochEngine,
-    rec: &obs::Recorder,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    config.validate()?;
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums_pooled(train, engine.threads())?;
-    let mut model = binarize(&nonbinary)?;
-    let mut history = TrainingHistory::new();
-    let mut ledger = VoteLedger::new(train.n_classes(), train.dim());
+/// Eq. 3 as an [`UpdateRule`]: every miss votes `+En(x)` into its true
+/// class and `−En(x)` into the predicted one, and the [`VoteLedger`]
+/// applies each class's vote total once per pass.
+pub(crate) struct RetrainRule<'a> {
+    config: &'a RetrainConfig,
+    ledger: VoteLedger,
+    pool: ThreadPool,
+}
 
-    for iter in 0..config.iterations {
-        let alpha = if iter == 0 {
-            config.first_alpha
-        } else {
-            config.alpha
-        };
-        let epoch_timer = rec.start();
+impl<'a> RetrainRule<'a> {
+    pub(crate) fn new(config: &'a RetrainConfig, train: &EncodedDataset, pool: ThreadPool) -> Self {
+        RetrainRule {
+            config,
+            ledger: VoteLedger::new(train.n_classes(), train.dim()),
+            pool,
+        }
+    }
+}
 
-        let t = rec.start();
-        let predictions = engine.classify_epoch(&model, train.hvs());
-        let classify_ns = t.elapsed_ns();
+impl UpdateRule for RetrainRule<'_> {
+    type Pass = Vec<usize>;
+    const NAME: &'static str = "retraining";
 
-        let t = rec.start();
-        ledger.clear();
+    fn rate(&self, iter: usize, _last_accuracy: Option<f64>) -> f32 {
+        self.config.rate(iter)
+    }
+
+    fn classify(
+        &self,
+        engine: &EpochEngine,
+        model: &HdcModel,
+        train: &EncodedDataset,
+    ) -> Vec<usize> {
+        engine.classify_epoch(model, train.hvs())
+    }
+
+    fn update(
+        &mut self,
+        predictions: &Vec<usize>,
+        train: &EncodedDataset,
+        sums: &mut [RealHv],
+        rate: f32,
+        touched: &mut [bool],
+    ) -> usize {
+        self.ledger.clear();
         let mut correct = 0usize;
         for (i, &predicted) in predictions.iter().enumerate() {
             let (hv, label) = train.sample(i);
             if predicted == label {
                 correct += 1;
             } else {
-                ledger.record(hv, label, predicted);
+                self.ledger.record(hv, label, predicted);
+                touched[label] = true;
+                touched[predicted] = true;
             }
         }
-        ledger.apply(&mut nonbinary, alpha, engine.pool());
-        let update_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        // Only the ledger-touched classes can change sign: an untouched
-        // class's non-binary hypervector is bit-unchanged, so its row is
-        // too. Re-sign exactly those rows, folding their Hamming flips into
-        // the paper's "updating on class hypervectors" convergence signal
-        // (untouched classes contribute zero flips by construction).
-        let flipped: usize = ledger
-            .touched_classes()
-            .into_iter()
-            .map(|k| model.resign_class(k, &nonbinary[k]))
-            .sum();
-        let binarize_ns = t.elapsed_ns();
-        let flip_fraction =
-            flipped as f64 / (train.dim().get() * train.n_classes()) as f64;
-
-        let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
-        let eval_ns = t.elapsed_ns();
-
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "retraining", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(alpha),
-            timing,
-        });
-        if let Some(threshold) = config.convergence_threshold {
-            // Never stop on the first (boosted-α) iteration.
-            if iter > 0 && flip_fraction < threshold {
-                break;
-            }
-        }
+        self.ledger.apply(sums, rate, self.pool);
+        correct
     }
-    Ok((model, history))
-}
-
-pub(crate) fn binarize(nonbinary: &[RealHv]) -> Result<HdcModel, LehdcError> {
-    HdcModel::new(nonbinary.iter().map(RealHv::sign).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::train_baseline;
-    use crate::test_util::multimodal_corpus;
+    use crate::baseline::train_baseline_threaded;
+    use crate::test_util::{multimodal_corpus, off};
     use hdc::rng::rng_for;
     use hdc::{BinaryHv, Dim};
 
@@ -280,9 +243,9 @@ mod tests {
     #[test]
     fn retraining_improves_on_baseline_for_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(1);
-        let baseline = train_baseline(&train, 0).unwrap();
+        let baseline = train_baseline_threaded(&train, 0, 1).unwrap();
         let (retrained, history) =
-            train_retraining(&train, None, &RetrainConfig::quick()).unwrap();
+            train_retraining_recorded(&train, None, &RetrainConfig::quick(), 1, &off()).unwrap();
         let base_acc = baseline.accuracy(test.hvs(), test.labels());
         let re_acc = retrained.accuracy(test.hvs(), test.labels());
         assert!(
@@ -300,7 +263,7 @@ mod tests {
             iterations: 5,
             ..RetrainConfig::default()
         };
-        let (_, history) = train_retraining(&train, Some(&test), &cfg).unwrap();
+        let (_, history) = train_retraining_recorded(&train, Some(&test), &cfg, 1, &off()).unwrap();
         assert_eq!(history.len(), 5);
         assert!(history.records().iter().all(|r| r.test_accuracy.is_some()));
         assert_eq!(history.records()[0].learning_rate, Some(1.5));
@@ -315,7 +278,7 @@ mod tests {
             convergence_threshold: Some(0.002),
             ..RetrainConfig::default()
         };
-        let (_, history) = train_retraining(&train, None, &converge).unwrap();
+        let (_, history) = train_retraining_recorded(&train, None, &converge, 1, &off()).unwrap();
         assert!(
             history.len() < 40,
             "should stop before the budget, ran {} iterations",
@@ -333,8 +296,8 @@ mod tests {
     fn retraining_is_deterministic() {
         let train = multimodal_corpus(3, 5, 256, 40, 3);
         let cfg = RetrainConfig::quick();
-        let (m1, _) = train_retraining(&train, None, &cfg).unwrap();
-        let (m2, _) = train_retraining(&train, None, &cfg).unwrap();
+        let (m1, _) = train_retraining_recorded(&train, None, &cfg, 1, &off()).unwrap();
+        let (m2, _) = train_retraining_recorded(&train, None, &cfg, 1, &off()).unwrap();
         assert_eq!(m1, m2);
     }
 
@@ -356,7 +319,7 @@ mod tests {
             iterations: 3,
             ..RetrainConfig::default()
         };
-        let (model, history) = train_retraining(&train, None, &cfg).unwrap();
+        let (model, history) = train_retraining_recorded(&train, None, &cfg, 1, &off()).unwrap();
         assert_eq!(model.class_hvs()[0], a);
         assert_eq!(model.class_hvs()[1], b);
         assert!(history

@@ -72,3 +72,8 @@ pub(crate) fn multimodal_corpus(
     }
     EncodedDataset::from_parts(hvs, labels, k).unwrap()
 }
+
+/// A disabled recorder, for training calls that do not measure anything.
+pub(crate) fn off() -> obs::Recorder {
+    obs::Recorder::disabled()
+}

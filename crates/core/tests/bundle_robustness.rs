@@ -8,7 +8,10 @@ use std::path::Path;
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
-use lehdc::format::{meta_f32, write_container, write_varint, Artifact, MetaWriter, STRIDE_BYTES};
+use lehdc::format::{
+    meta_f32, pack, write_container, write_varint, Artifact, Compression, MetaWriter, HEADER_LEN,
+    MAGIC, PAYLOAD_ALIGN, STRIDE_BYTES, VERSION,
+};
 use lehdc::io::{load_bundle, load_model, read_model, save_bundle, write_bundle, ModelBundle};
 use lehdc::{HdcModel, LehdcError};
 
@@ -156,6 +159,75 @@ fn header_lengths_beyond_the_file_are_truncation_not_allocation() {
             }
         }
     }
+}
+
+/// A packed container assembled byte by byte, so its sections can claim
+/// what no writer would produce.
+fn packed_container(artifact: Artifact, meta: &[u8], aux: &[u8], words: &[u64]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&[artifact.byte(), Compression::Packed.byte(), 0, 0]);
+    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(aux.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(words.len() as u64 * 8).to_le_bytes());
+    assert_eq!(out.len(), HEADER_LEN);
+    out.extend_from_slice(meta);
+    out.extend_from_slice(aux);
+    out.resize(out.len().next_multiple_of(PAYLOAD_ALIGN), 0);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// A complete packed stream of `len` zero bytes: two length varints and one
+/// zero run per bit plane, a few dozen bytes for any `len`.
+fn zeros_stream(len: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_varint(&mut out, len);
+    write_varint(&mut out, 1);
+    for _ in 0..8 {
+        write_varint(&mut out, len);
+    }
+    out
+}
+
+#[test]
+fn packed_sections_cannot_claim_more_than_their_bound() {
+    let claim = 64u64 << 20;
+    let expect_bound_error = |bytes: &[u8], name: &str| {
+        let path = write_temp(name, bytes);
+        match load_bundle(&path) {
+            Err(LehdcError::ModelFormat(msg)) => {
+                assert!(msg.contains(&format!("claims {claim} bytes")), "{msg}");
+                assert!(msg.contains(name), "{msg}");
+            }
+            other => panic!("expected a bound error, got {other:?}"),
+        }
+    };
+    // Metadata is bounded by the container's metadata cap. Only the two
+    // length varints are needed to make the claim.
+    let bytes = packed_container(Artifact::Bundle, &zeros_stream(claim)[..5], &[], &[]);
+    assert_eq!(bytes.len(), 64);
+    expect_bound_error(&bytes, "huge_meta.lehdc");
+
+    // Aux is bounded by what the parsed metadata allows: this bundle is
+    // neither distilled nor normalized, so its aux is one selection-count
+    // varint. The stream itself is complete and valid.
+    let mut meta = MetaWriter::new();
+    meta.u64("dim", 64)
+        .u64("classes", 2)
+        .u64("encoder_dim", 64)
+        .u64("features", 6)
+        .u64("levels", 8)
+        .u64("seed", 1);
+    meta_f32(&mut meta, "vmin", 0.0);
+    meta_f32(&mut meta, "vmax", 1.0);
+    meta.bool("normalizer", false).bool("distilled", false);
+    let meta = pack(meta.finish().as_bytes(), STRIDE_BYTES);
+    let bytes = packed_container(Artifact::Bundle, &meta, &zeros_stream(claim), &[0, 0]);
+    assert!(bytes.len() < 1024, "{} bytes", bytes.len());
+    expect_bound_error(&bytes, "huge_aux.lehdc");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use hdc::{Dim, RecordEncoder};
 use hdc_datasets::SyntheticSpec;
-use lehdc::baseline::train_baseline;
+use lehdc::baseline::train_baseline_threaded;
 use lehdc::lehdc_trainer::{train_lehdc, train_lehdc_recorded};
 use lehdc::{EncodedDataset, HdcModel, LehdcConfig};
 
@@ -27,7 +27,7 @@ fn train_once(seed: u64) -> (HdcModel, EncodedDataset) {
         .build()
         .unwrap();
     let train = EncodedDataset::encode(&data.train, &enc, 2).unwrap();
-    (train_baseline(&train, seed).unwrap(), train)
+    (train_baseline_threaded(&train, seed, 1).unwrap(), train)
 }
 
 #[test]

@@ -154,14 +154,14 @@ proptest! {
         flip_bits in 1usize..256,
     ) {
         let packed = pack(&data, stride);
-        prop_assert_eq!(unpack(&packed).unwrap(), data);
+        prop_assert_eq!(unpack(&packed, data.len() as u64).unwrap(), data);
         // Corrupting any single byte must never panic (it may still
         // decode, e.g. a flipped bit inside a literal run).
         if !packed.is_empty() {
             let mut bad = packed.clone();
             let i = flip_at % bad.len();
             bad[i] ^= flip_bits as u8;
-            let _ = unpack(&bad);
+            let _ = unpack(&bad, 512);
         }
     }
 }

@@ -6,8 +6,9 @@
 //! (class, dimension) instead of one f32 `add_scaled` per misclassified
 //! sample. This suite pins what that buys and what it costs:
 //!
-//! - every strategy is **bit-identical** across thread counts and engine
-//!   query-block sizes (the integer votes make sample order irrelevant);
+//! - every strategy is **bit-identical** across thread counts (the integer
+//!   votes make sample order irrelevant; the engine's query-block sizes are
+//!   pinned by the unit tests of the retraining loop in `engine.rs`);
 //! - the integer-vote application matches a naive sequential integer-vote
 //!   reference exactly, bit for bit;
 //! - the accuracy *trajectory* of the new semantics tracks the historical
@@ -25,13 +26,11 @@ use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RealHv};
 use testkit::Rng;
 use lehdc::adaptive::train_adaptive_recorded;
-use lehdc::baseline::{accumulate_class_sums, accumulate_class_sums_pooled, train_baseline};
+use lehdc::baseline::{accumulate_class_sums_pooled, train_baseline_threaded};
 use lehdc::enhanced::train_enhanced_recorded;
-use lehdc::multimodel::{train_multimodel, train_multimodel_recorded};
+use lehdc::multimodel::train_multimodel_recorded;
 use lehdc::nonbinary::train_nonbinary_recorded;
-use lehdc::retrain::{
-    train_retraining, train_retraining_recorded, train_retraining_with_engine,
-};
+use lehdc::retrain::train_retraining_recorded;
 use lehdc::{
     AdaptiveConfig, EncodedDataset, EpochEngine, HdcModel, MultiModelConfig, RetrainConfig,
     TrainingHistory,
@@ -77,35 +76,8 @@ fn live_recorder() -> obs::Recorder {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity across threads, engine block sizes, and recorder state
+// Bit-identity across threads and recorder state
 // ---------------------------------------------------------------------------
-
-#[test]
-fn retraining_is_bit_identical_across_threads_and_blocks() {
-    let train = corpus(4, 3, 512, 120, 1);
-    let test = corpus(4, 3, 512, 40, 2);
-    let cfg = RetrainConfig {
-        iterations: 8,
-        ..RetrainConfig::default()
-    };
-    let disabled = obs::Recorder::disabled();
-    let (reference, ref_hist) =
-        train_retraining_with_engine(&train, Some(&test), &cfg, &EpochEngine::new(1), &disabled)
-            .unwrap();
-    for threads in [1usize, 4] {
-        for block in [1usize, 7, 64, 256] {
-            let engine = EpochEngine::with_block(threads, block);
-            let (model, hist) =
-                train_retraining_with_engine(&train, Some(&test), &cfg, &engine, &disabled)
-                    .unwrap();
-            assert_eq!(
-                model, reference,
-                "retraining diverged at threads={threads} block={block}"
-            );
-            assert_eq!(strip_timing(&hist), strip_timing(&ref_hist));
-        }
-    }
-}
 
 #[test]
 fn enhanced_and_adaptive_are_bit_identical_across_threads() {
@@ -146,9 +118,6 @@ fn multimodel_and_nonbinary_are_bit_identical_across_threads() {
     let disabled = obs::Recorder::disabled();
     let (mm1, mh1) = train_multimodel_recorded(&train, Some(&test), &cfg, 1, &disabled).unwrap();
     let (nb1, nh1) = train_nonbinary_recorded(&train, Some(&test), 1.0, 4, 1, &disabled).unwrap();
-    // the threaded paths must also match the historical serial entry point
-    let (mm_legacy, _) = train_multimodel(&train, Some(&test), &cfg).unwrap();
-    assert_eq!(mm1.accuracy(test.hvs(), test.labels()), mm_legacy.accuracy(test.hvs(), test.labels()));
     for threads in [2usize, 4] {
         let (mm, mh) =
             train_multimodel_recorded(&train, Some(&test), &cfg, threads, &disabled).unwrap();
@@ -205,7 +174,7 @@ fn sequential_retrain(
 ) -> (HdcModel, Vec<f64>) {
     let k = train.n_classes();
     let d = train.dim().get();
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums(train).unwrap();
+    let mut nonbinary: Vec<RealHv> = accumulate_class_sums_pooled(train, 1).unwrap();
     let mut model =
         HdcModel::new(nonbinary.iter().map(RealHv::sign).collect::<Vec<_>>()).unwrap();
     let mut accuracies = Vec::new();
@@ -254,7 +223,8 @@ fn batched_retraining_matches_sequential_integer_vote_reference_exactly() {
         ..RetrainConfig::default()
     };
     let (reference, ref_accs) = sequential_retrain(&train, &cfg, true);
-    let (batched, hist) = train_retraining(&train, None, &cfg).unwrap();
+    let (batched, hist) =
+        train_retraining_recorded(&train, None, &cfg, 1, &obs::Recorder::disabled()).unwrap();
     assert_eq!(batched, reference, "integer-vote application must be exact");
     assert_eq!(hist.train_series(), ref_accs);
 }
@@ -267,7 +237,8 @@ fn batched_trajectory_tracks_historical_f32_semantics() {
         ..RetrainConfig::default()
     };
     let (_, legacy_accs) = sequential_retrain(&train, &cfg, false);
-    let (_, hist) = train_retraining(&train, None, &cfg).unwrap();
+    let (_, hist) =
+        train_retraining_recorded(&train, None, &cfg, 1, &obs::Recorder::disabled()).unwrap();
     let new_accs = hist.train_series();
     assert_eq!(new_accs.len(), legacy_accs.len());
     // Identical first iteration (the initial model is shared), and the
@@ -285,7 +256,7 @@ fn batched_trajectory_tracks_historical_f32_semantics() {
 #[test]
 fn pooled_class_sums_match_serial_exactly() {
     let train = corpus(5, 2, 512, 150, 10);
-    let serial = accumulate_class_sums(&train).unwrap();
+    let serial = accumulate_class_sums_pooled(&train, 1).unwrap();
     for threads in [1usize, 2, 4] {
         let pooled = accumulate_class_sums_pooled(&train, threads).unwrap();
         assert_eq!(pooled, serial, "pooled sums diverged at {threads} threads");
@@ -341,7 +312,7 @@ fn adaptive_tie_break_prefers_lowest_class_index() {
 fn tie_break_matches_model_classify() {
     // The engine path and model.classify must agree on the tied query.
     let train = tied_corpus(Dim::new(256));
-    let model = train_baseline(&train, 0).unwrap();
+    let model = train_baseline_threaded(&train, 0, 1).unwrap();
     let p = train.sample(0).0;
     assert_eq!(model.classify(p), 0, "argmax kernels break ties low");
     let engine = EpochEngine::new(2);

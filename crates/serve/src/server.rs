@@ -86,7 +86,26 @@ struct Shared {
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
     active_conns: AtomicU64,
     next_conn_id: AtomicU64,
+    /// Starts connection and writer threads ([`spawn_thread`]; tests swap
+    /// in a failing one).
+    spawn: Spawn,
 }
+
+/// Starts a named thread running `body`. On failure `body` is dropped
+/// unrun, closing whatever sockets it owned.
+type Spawn = fn(String, Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
+
+fn spawn_thread(name: String, body: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(body)
+}
+
+/// Pause after a failed `accept()`, doubling per further failure up to
+/// [`MAX_ACCEPT_BACKOFF`]. Errors such as EMFILE last until a descriptor
+/// frees up; backing off keeps the accept thread from spinning on them.
+const MIN_ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+/// Longest pause between failed accepts, so a recovered daemon resumes
+/// accepting within a tenth of a second.
+const MAX_ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 impl Shared {
     /// Idempotent shutdown trigger: stops accepting, closes the ring (the
@@ -106,6 +125,14 @@ impl Shared {
         for (_, stream) in self.streams.lock().unwrap().drain(..) {
             let _ = stream.shutdown(Shutdown::Read);
         }
+    }
+
+    /// Undoes a connection's bookkeeping once its thread is done or could
+    /// not be started.
+    fn release(&self, conn_id: u64) {
+        self.streams.lock().unwrap().retain(|(id, _)| *id != conn_id);
+        let remaining = self.active_conns.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.rec.gauge("serve/connections_active", remaining as f64);
     }
 }
 
@@ -143,6 +170,7 @@ impl Server {
             conn_handles: Mutex::new(Vec::new()),
             active_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
+            spawn: spawn_thread,
         });
 
         let collector_handle = {
@@ -170,7 +198,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("lehdc-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))
+                .spawn(move || accept_loop(&shared, || listener.accept().map(|(s, _)| s)))
                 .expect("spawning the accept thread")
         };
 
@@ -214,45 +242,58 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// Accepts connections until shutdown, backing off on accept errors.
+fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<TcpStream>) {
+    let mut backoff = MIN_ACCEPT_BACKOFF;
     loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
+        let accepted = accept();
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        let _ = stream.set_nodelay(true);
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.streams.lock().unwrap().push((conn_id, clone));
+        match accepted {
+            Ok(stream) => {
+                backoff = MIN_ACCEPT_BACKOFF;
+                admit(shared, stream);
+            }
+            Err(_) => {
+                shared.rec.add("serve/accept_errors", 1);
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(MAX_ACCEPT_BACKOFF);
+            }
         }
-        shared.rec.add("serve/connections_total", 1);
-        shared
-            .rec
-            .gauge("serve/connections_active", shared.active_conns.fetch_add(1, Ordering::SeqCst) as f64 + 1.0);
-        let shared_conn = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("lehdc-serve-conn-{conn_id}"))
-            .spawn(move || {
-                handle_connection(&shared_conn, stream, conn_id);
-                shared_conn.streams.lock().unwrap().retain(|(id, _)| *id != conn_id);
-                let remaining = shared_conn.active_conns.fetch_sub(1, Ordering::SeqCst) - 1;
-                shared_conn.rec.gauge("serve/connections_active", remaining as f64);
-            })
-            .expect("spawning a connection thread");
-        let mut handles = shared.conn_handles.lock().unwrap();
-        for finished in handles.extract_if(.., |h| h.is_finished()) {
-            let _ = finished.join();
-        }
-        handles.push(handle);
     }
+}
+
+/// Registers a connection and starts its thread. If the thread cannot be
+/// started, the connection is refused: the failed spawn drops the stream,
+/// and the registration is undone.
+fn admit(shared: &Arc<Shared>, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+    if let Ok(clone) = stream.try_clone() {
+        shared.streams.lock().unwrap().push((conn_id, clone));
+    }
+    shared.rec.add("serve/connections_total", 1);
+    let active = shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
+    shared.rec.gauge("serve/connections_active", active as f64);
+    let shared_conn = Arc::clone(shared);
+    let spawned = (shared.spawn)(
+        format!("lehdc-serve-conn-{conn_id}"),
+        Box::new(move || {
+            handle_connection(&shared_conn, stream, conn_id);
+            shared_conn.release(conn_id);
+        }),
+    );
+    let Ok(handle) = spawned else {
+        shared.rec.add("serve/spawn_failures", 1);
+        shared.release(conn_id);
+        return;
+    };
+    let mut handles = shared.conn_handles.lock().unwrap();
+    for finished in handles.extract_if(.., |h| h.is_finished()) {
+        let _ = finished.join();
+    }
+    handles.push(handle);
 }
 
 /// One entry in a connection's in-order response queue: either already
@@ -279,10 +320,15 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         return;
     };
     let (tx, rx) = mpsc::channel::<Pending>();
-    let writer_handle = std::thread::Builder::new()
-        .name(format!("lehdc-serve-write-{conn_id}"))
-        .spawn(move || writer_loop(write_half, &rx, binary))
-        .expect("spawning a connection writer thread");
+    let Ok(writer_handle) = (shared.spawn)(
+        format!("lehdc-serve-write-{conn_id}"),
+        Box::new(move || writer_loop(write_half, &rx, binary)),
+    ) else {
+        // Returning drops the read half; the failed spawn dropped the write
+        // half, so the connection closes and the caller releases it.
+        shared.rec.add("serve/spawn_failures", 1);
+        return;
+    };
 
     if binary {
         binary_reader_loop(shared, BufReader::new(read_half), &tx);
@@ -471,6 +517,110 @@ mod tests {
             normalizer: None,
             selection: None,
         }
+    }
+
+    /// Daemon state around an unstarted listener, so a test can drive
+    /// [`accept_loop`] itself with a chosen accept source and spawner.
+    fn shared_with(spawn: Spawn) -> (Arc<Shared>, TcpListener) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shared = Arc::new(Shared {
+            state: Arc::new(ModelState::new(bundle(1))),
+            queue: Arc::new(RingBuffer::new(16)),
+            rec: Recorder::builder().build(),
+            shutting_down: AtomicBool::new(false),
+            local_addr: listener.local_addr().unwrap(),
+            streams: Mutex::new(Vec::new()),
+            conn_handles: Mutex::new(Vec::new()),
+            active_conns: AtomicU64::new(0),
+            next_conn_id: AtomicU64::new(0),
+            spawn,
+        });
+        (shared, listener)
+    }
+
+    fn counter(rec: &Recorder, name: &str) -> u64 {
+        match rec.metrics().into_iter().find(|(n, _)| n == name) {
+            Some((_, obs::MetricValue::Counter(n))) => n,
+            _ => 0,
+        }
+    }
+
+    /// Accepts one real connection, then stops the loop.
+    fn accept_once(shared: &Arc<Shared>, listener: &TcpListener) {
+        let mut served = false;
+        accept_loop(shared, || {
+            if served {
+                shared.shutting_down.store(true, Ordering::SeqCst);
+                return Err(io::ErrorKind::Other.into());
+            }
+            served = true;
+            listener.accept().map(|(s, _)| s)
+        });
+    }
+
+    fn assert_closed(client: &mut TcpStream) {
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 1];
+        assert!(matches!(client.read(&mut buf), Ok(0)), "connection left open");
+    }
+
+    #[test]
+    fn accept_errors_back_off_and_are_counted() {
+        let (shared, _listener) = shared_with(spawn_thread);
+        let mut calls = 0;
+        let start = Instant::now();
+        // Five failures (an EMFILE stand-in), then shutdown.
+        accept_loop(&shared, || {
+            calls += 1;
+            if calls == 6 {
+                shared.shutting_down.store(true, Ordering::SeqCst);
+            }
+            Err(io::ErrorKind::Other.into())
+        });
+        assert_eq!(calls, 6);
+        assert_eq!(counter(&shared.rec, "serve/accept_errors"), 5);
+        // 1 + 2 + 4 + 8 + 16 ms of backoff instead of a spin.
+        assert!(start.elapsed() >= Duration::from_millis(31), "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn failed_connection_spawn_refuses_and_undoes_bookkeeping() {
+        fn failing(_: String, _: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+        let (shared, listener) = shared_with(failing);
+        let mut client = TcpStream::connect(shared.local_addr).unwrap();
+        accept_once(&shared, &listener);
+        assert_eq!(counter(&shared.rec, "serve/spawn_failures"), 1);
+        assert_eq!(counter(&shared.rec, "serve/connections_total"), 1);
+        assert_eq!(shared.active_conns.load(Ordering::SeqCst), 0);
+        assert!(shared.streams.lock().unwrap().is_empty());
+        assert!(shared.conn_handles.lock().unwrap().is_empty());
+        assert_closed(&mut client);
+    }
+
+    #[test]
+    fn failed_writer_spawn_closes_the_connection() {
+        fn no_writer(name: String, body: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
+            if name.starts_with("lehdc-serve-write") {
+                Err(io::ErrorKind::WouldBlock.into())
+            } else {
+                spawn_thread(name, body)
+            }
+        }
+        let (shared, listener) = shared_with(no_writer);
+        let mut client = TcpStream::connect(shared.local_addr).unwrap();
+        // Exactly the mode preamble, so the closed socket holds no unread
+        // bytes and the client sees a clean EOF.
+        client.write_all(&BINARY_MAGIC).unwrap();
+        accept_once(&shared, &listener);
+        for handle in shared.conn_handles.lock().unwrap().drain(..) {
+            handle.join().expect("the connection thread must not panic");
+        }
+        assert_eq!(counter(&shared.rec, "serve/spawn_failures"), 1);
+        assert_eq!(shared.active_conns.load(Ordering::SeqCst), 0);
+        assert!(shared.streams.lock().unwrap().is_empty());
+        assert_closed(&mut client);
     }
 
     #[test]

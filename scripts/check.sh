@@ -137,14 +137,16 @@ grep -q '"headline_ok": true' "$smoke_dir/sweep.json" \
 echo "== bench smoke (quick mode, one iteration per benchmark) =="
 TESTKIT_BENCH_QUICK=1 cargo bench -q --offline --workspace
 
-echo "== kernels benchmark (full run, JSON to BENCH_kernels.json) =="
-TESTKIT_BENCH_JSON="$PWD" cargo bench -q --offline -p lehdc-bench --bench kernels
+echo "== kernels benchmark (full run, JSON to the scratch dir) =="
+# The committed BENCH_kernels.json is the baseline; this run must not
+# overwrite it.
+TESTKIT_BENCH_JSON="$smoke_dir" cargo bench -q --offline -p lehdc-bench --bench kernels
 
 if [ "${CHECK_BENCH_COMPARE:-0}" != "0" ]; then
     echo "== bench regression gate (opt-in via CHECK_BENCH_COMPARE=1) =="
     # Compares the run above against the committed snapshot for the groups
     # whose scaling the thread pool is responsible for.
-    ./scripts/bench_compare.sh --rerun classify_all classify_blocked transpose_matmul backward encode record_encode encode_pooled train_step retrain_epoch enhanced_epoch multimodel_classify serve_batch format_load
+    ./scripts/bench_compare.sh BENCH_kernels.json "$smoke_dir/BENCH_kernels.json" classify_all classify_blocked transpose_matmul backward encode record_encode encode_pooled train_step retrain_epoch enhanced_epoch multimodel_classify serve_batch format_load
 fi
 
 echo "== manifest hermeticity check =="

@@ -4,7 +4,7 @@
 
 use lehdc_suite::datasets::BenchmarkProfile;
 use lehdc_suite::hdc::{Dim, NgramEncoder};
-use lehdc_suite::lehdc::baseline::train_baseline;
+use lehdc_suite::lehdc::baseline::train_baseline_threaded;
 use lehdc_suite::lehdc::lehdc_trainer::train_lehdc;
 use lehdc_suite::lehdc::{EncodedDataset, LehdcConfig};
 
@@ -19,7 +19,7 @@ fn lehdc_trains_on_ngram_encodings() {
     let train = EncodedDataset::encode(&data.train, &encoder, 2).unwrap();
     let test = EncodedDataset::encode(&data.test, &encoder, 2).unwrap();
 
-    let baseline = train_baseline(&train, 0).unwrap();
+    let baseline = train_baseline_threaded(&train, 0, 1).unwrap();
     let (learned, history) =
         train_lehdc(&train, Some(&test), &LehdcConfig::quick().with_epochs(15)).unwrap();
 
